@@ -24,9 +24,9 @@ from .pipeline import (
 from .relay import FilterAction, FilterPolicy
 from .sense import TrainConfig, evaluate, load_corpus, save_model, train
 from .tcbtrace import (
-    CallGraph,
     build_task_graphs,
     emit_report,
+    merge_graphs,
     minimal_set,
     parse_trace,
     render_report,
@@ -54,63 +54,69 @@ def _load_config_file(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _picker(cp: configparser.ConfigParser | None):
-    def pick(flag, section: str, key: str, cast, default):
-        if flag is not None:
-            return flag
-        if cp is not None and cp.has_option(section, key):
-            return cast(cp.get(section, key))
-        return default
+# One row per config field: (field, flag attribute or None, INI section,
+# INI key, cast of the INI text).  A set flag wins over the file; a field
+# set by neither keeps its dataclass default.
+_GENERATOR_OPTIONS = (
+    ("keywords", "keywords", "generator", "keywords", _parse_keywords),
+    ("sensitivity", "sensitivity", "generator", "sensitivity", float),
+    ("vocab_size", None, "generator", "vocab_size", int),
+    ("min_words", None, "generator", "min_words", int),
+    ("max_words", None, "generator", "max_words", int),
+)
+_TRAIN_OPTIONS = (
+    ("learning_rate", "learning_rate", "classifier", "learning_rate", float),
+    ("epochs", "epochs", "classifier", "epochs", int),
+    ("seed", "train_seed", "classifier", "seed", int),
+    ("dim", None, "classifier", "dim", int),
+    ("filters", None, "classifier", "filters", int),
+    ("width", None, "classifier", "width", int),
+    ("vocab_size", None, "classifier", "vocab_size", int),
+)
+_CLASSIFIER_OPTIONS = (
+    ("architecture", "architecture", "classifier", "architecture", str),
+    ("model_path", "model", "classifier", "model", str),
+    ("corpus_path", "corpus", "classifier", "corpus", str),
+    ("train_utterances", "train_utterances", "classifier", "train_utterances", int),
+)
+_POLICY_OPTIONS = (
+    ("threshold", "threshold", "policy", "threshold", float),
+    ("action", "action", "policy", "action", FilterAction),
+    ("mask_token", "mask_token", "policy", "mask_token", str),
+)
+_PIPELINE_OPTIONS = (
+    ("seed", "seed", "pipeline", "seed", int),
+    ("utterances", "utterances", "pipeline", "utterances", int),
+    ("endpoint", "endpoint", "pipeline", "endpoint", _parse_endpoint),
+    ("cost_per_switch", "cost_per_switch", "pipeline", "cost_per_switch", int),
+    ("capacity", "capacity", "pipeline", "capacity", int),
+    ("frames_per_utterance", "frames", "pipeline", "frames_per_utterance", int),
+)
 
-    return pick
+
+def _options(rows, args: argparse.Namespace, cp: configparser.ConfigParser | None) -> dict:
+    """Keyword arguments for one config dataclass from flags and the file."""
+    values = {}
+    for name, flag, section, key, cast in rows:
+        value = getattr(args, flag) if flag else None
+        if value is None and cp is not None and cp.has_option(section, key):
+            value = cast(cp.get(section, key))
+        if value is not None:
+            values[name] = value
+    return values
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     cp = _load_config_file(args.config) if args.config else None
-    pick = _picker(cp)
-    defaults = PipelineConfig()
-    gen_defaults = GeneratorConfig()
-    train_defaults = TrainConfig()
-    cls_defaults = ClassifierConfig()
-
-    generator = GeneratorConfig(
-        keywords=pick(args.keywords, "generator", "keywords", _parse_keywords, gen_defaults.keywords),
-        sensitivity=pick(args.sensitivity, "generator", "sensitivity", float, gen_defaults.sensitivity),
-        vocab_size=pick(None, "generator", "vocab_size", int, gen_defaults.vocab_size),
-        min_words=pick(None, "generator", "min_words", int, gen_defaults.min_words),
-        max_words=pick(None, "generator", "max_words", int, gen_defaults.max_words),
-    )
-    train_cfg = TrainConfig(
-        learning_rate=pick(args.learning_rate, "classifier", "learning_rate", float, train_defaults.learning_rate),
-        epochs=pick(args.epochs, "classifier", "epochs", int, train_defaults.epochs),
-        seed=pick(args.train_seed, "classifier", "seed", int, train_defaults.seed),
-        dim=pick(None, "classifier", "dim", int, train_defaults.dim),
-        filters=pick(None, "classifier", "filters", int, train_defaults.filters),
-        width=pick(None, "classifier", "width", int, train_defaults.width),
-        vocab_size=pick(None, "classifier", "vocab_size", int, train_defaults.vocab_size),
-    )
     classifier = ClassifierConfig(
-        architecture=pick(args.architecture, "classifier", "architecture", str, cls_defaults.architecture),
-        model_path=pick(args.model, "classifier", "model", str, None),
-        corpus_path=pick(args.corpus, "classifier", "corpus", str, None),
-        train=train_cfg,
-        train_utterances=pick(args.train_utterances, "classifier", "train_utterances", int, cls_defaults.train_utterances),
-    )
-    policy = FilterPolicy(
-        threshold=pick(args.threshold, "policy", "threshold", float, FilterPolicy().threshold),
-        action=FilterAction(pick(args.action, "policy", "action", str, FilterPolicy().action.value)),
-        mask_token=pick(args.mask_token, "policy", "mask_token", str, FilterPolicy().mask_token),
+        train=TrainConfig(**_options(_TRAIN_OPTIONS, args, cp)),
+        **_options(_CLASSIFIER_OPTIONS, args, cp),
     )
     return PipelineConfig(
-        seed=pick(args.seed, "pipeline", "seed", int, defaults.seed),
-        utterances=pick(args.utterances, "pipeline", "utterances", int, defaults.utterances),
-        generator=generator,
+        generator=GeneratorConfig(**_options(_GENERATOR_OPTIONS, args, cp)),
         classifier=classifier,
-        policy=policy,
-        endpoint=pick(args.endpoint, "pipeline", "endpoint", _parse_endpoint, defaults.endpoint),
-        cost_per_switch=pick(args.cost_per_switch, "pipeline", "cost_per_switch", int, defaults.cost_per_switch),
-        capacity=pick(args.capacity, "pipeline", "capacity", int, defaults.capacity),
-        frames_per_utterance=pick(args.frames, "pipeline", "frames_per_utterance", int, defaults.frames_per_utterance),
+        policy=FilterPolicy(**_options(_POLICY_OPTIONS, args, cp)),
+        **_options(_PIPELINE_OPTIONS, args, cp),
     )
 
 
@@ -163,27 +169,15 @@ def _load_inventory(path: str) -> list[str]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    graphs: dict[str, CallGraph] = {}
+    per_trace = []
     for path in args.traces:
         try:
             events = parse_trace(Path(path).read_text(encoding="utf-8"))
-            per_task = build_task_graphs(events)
+            per_trace.append(build_task_graphs(events))
         except ValueError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
-        for task, graph in per_task.items():
-            if task in graphs:
-                prior = graphs[task]
-                edges = dict(prior.edges)
-                for key, count in graph.edges.items():
-                    edges[key] = edges.get(key, 0) + count
-                graphs[task] = CallGraph(
-                    nodes=prior.nodes | graph.nodes,
-                    edges=edges,
-                    roots=prior.roots | graph.roots,
-                )
-            else:
-                graphs[task] = graph
+    graphs = merge_graphs(per_trace)
     inventory = _load_inventory(args.inventory)
     tasks = list(args.tasks.split(",")) if args.tasks else sorted(graphs)
     required = minimal_set(graphs, tasks)
@@ -234,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--train-seed", type=int, dest="train_seed")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--action", choices=[a.value for a in FilterAction])
+    p.add_argument("--action", type=FilterAction, choices=list(FilterAction),
+                   metavar="{" + ",".join(a.value for a in FilterAction) + "}")
     p.add_argument("--mask-token", dest="mask_token")
     p.add_argument("--keywords", type=_parse_keywords)
     p.add_argument("--sensitivity", type=float)

@@ -1,16 +1,15 @@
 """End-to-end pipeline: microphone capture to redacted cloud upload.
 
-Three workers connected by bounded queues mirror the runtime split: a
-capture/encode producer, an ingest worker feeding the secure ring, and the
-trusted-side consumer that reads blocks through the PTA, classifies,
-filters and relays.  Ring space is reserved ahead of each ingest, so the
-driver never overruns and runs are reproducible for a given seed.
+One loop takes each utterance through every stage in turn: capture and
+encode on the normal side, ingest into the secure ring, then the trusted
+side reads the block back through the PTA, transcribes, classifies,
+filters and relays it.  The loop reads exactly what it ingests, so the ring
+never overruns, and runs are reproducible for a given seed.  Everything
+runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -181,13 +180,10 @@ def build_classifier(
     return vocab, model_verdict
 
 
-_STOP = object()
-
-
 def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
-    """Drive `config.utterances` utterances through capture, the secure ring,
-    the PTA read path, classification, filtering and the relay.  Any worker
-    error aborts the run with the failing stage named."""
+    """Drive `config.utterances` utterances, one at a time, through capture,
+    the secure ring, the PTA read path, classification, filtering and the
+    relay.  Any error aborts the run with the failing stage named."""
     try:
         vocab, verdict_fn = build_classifier(config)
         asc = tee.AddressSpaceController()
@@ -208,90 +204,23 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
     log = RedactionLog()
     utterances: list[tuple[str, Label]] = []
     sent_payloads: list[bytes] = []
+    count = config.frames_per_utterance
 
-    stop = threading.Event()
-    failures: list[tuple[str, BaseException]] = []
-    room = threading.Condition()
-    available = [config.capacity]
-    frames_q: queue.Queue = queue.Queue(maxsize=8)
-    meta_q: queue.Queue = queue.Queue(maxsize=8)
-
-    def abort(stage: str, exc: BaseException) -> None:
-        failures.append((stage, exc))
-        stop.set()
-        with room:
-            room.notify_all()
-
-    def put(q: queue.Queue, item) -> bool:
-        while not stop.is_set():
-            try:
-                q.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def get(q: queue.Queue):
-        while not stop.is_set():
-            try:
-                return q.get(timeout=0.05)
-            except queue.Empty:
-                continue
-        return _STOP
-
-    def capture_worker() -> None:
+    try:
         stage = "capture"
         try:
             mic = MicrophoneSource(config.generator, config.seed)
             for _ in range(config.utterances):
-                if stop.is_set():
-                    return
                 stage = "capture"
-                utt = mic.capture(config.frames_per_utterance)
+                utt = mic.capture(count)
                 stage = "encode"
                 stream = encode_frames(utt.frames)
                 utterances.append((utt.payload_text, utt.truth_label))
-                if not put(frames_q, (stream, utt.payload_text)):
-                    return
-            put(frames_q, None)
-        except Exception as exc:
-            abort(stage, exc)
-
-    def ingest_worker() -> None:
-        try:
-            count = config.frames_per_utterance
-            while True:
-                item = get(frames_q)
-                if item is _STOP:
-                    return
-                if item is None:
-                    put(meta_q, None)
-                    return
-                stream, text = item
-                with room:
-                    while available[0] < count:
-                        if stop.is_set():
-                            return
-                        room.wait(0.05)
-                    available[0] -= count
-                accepted = driver.ingest(stream, payload_text=text)
+                stage = "ingest"
+                accepted = driver.ingest(stream, payload_text=utt.payload_text)
                 if accepted != count:
-                    raise RuntimeError(
-                        f"ring accepted {accepted} of {count} reserved frames"
-                    )
-                if not put(meta_q, count):
-                    return
-        except Exception as exc:
-            abort("ingest", exc)
+                    raise RuntimeError(f"ring accepted {accepted} of {count} frames")
 
-    def trusted_worker() -> None:
-        stage = "read"
-        try:
-            while True:
-                item = get(meta_q)
-                if item is _STOP or item is None:
-                    return
-                count = item
                 started = time.perf_counter()
                 stage = "read"
                 cmd = PtaCommand(
@@ -303,9 +232,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                 if resp.status is not PtaStatus.OK:
                     raise RuntimeError(f"read command returned {resp.status.name}")
                 written = resp.params[1].b
-                block = EncodedBlock.from_bytes(
-                    memory.read(tee.World.SECURE, out_base, written)
-                )
+                block = EncodedBlock.from_bytes(memory.read(tee.World.SECURE, out_base, written))
                 stage = "transcribe"
                 transcript = transcribe(block, vocab)
                 stage = "classify"
@@ -317,6 +244,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                     metrics.sensitive += 1
                 if decision.redacted:
                     metrics.redacted += 1
+                sequence = None
                 if decision.forward:
                     stage = "relay"
                     sequence = channel.next_sequence()
@@ -327,37 +255,17 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                     metrics.forwarded += 1
                     metrics.bytes_sent += len(encode_frame(packet))
                     sent_payloads.append(packet.payload)
-                    log.append(RedactionRecord(sequence, verdict.score, verdict.label, decision.action))
-                else:
-                    log.append(RedactionRecord(None, verdict.score, verdict.label, decision.action))
-                with room:
-                    available[0] += count
-                    room.notify_all()
+                log.append(RedactionRecord(sequence, verdict.score, verdict.label, decision.action))
                 metrics.latency_us.append((time.perf_counter() - started) * 1e6)
         except Exception as exc:
-            abort(stage, exc)
-
-    workers = [
-        threading.Thread(target=capture_worker, name="capture"),
-        threading.Thread(target=ingest_worker, name="ingest"),
-        threading.Thread(target=trusted_worker, name="trusted"),
-    ]
-    try:
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        if failures:
-            stage, exc = failures[0]
             raise PipelineError(stage, exc) from exc
-        status_cmd = PtaCommand(session, CMD_GET_STATUS)
-        status_resp = bridge.invoke(status_cmd, ctx)
+
+        status_resp = bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
         if status_resp.status is not PtaStatus.OK:
             raise PipelineError("read", f"status command returned {status_resp.status.name}")
         if status_resp.params[1].a != 0:
             raise PipelineError("ingest", f"{status_resp.params[1].a} frames overran the ring")
     finally:
-        stop.set()
         try:
             channel.close()
         except Exception:

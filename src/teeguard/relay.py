@@ -222,10 +222,8 @@ class Supplicant:
 
     def __init__(self, transport):
         self._transport = transport
-        self.requests: list[SupplicantRequest] = []
 
     def handle(self, request: SupplicantRequest) -> bytes:
-        self.requests.append(request)
         if request.op is SupplicantOp.CONNECT:
             if request.endpoint is None:
                 raise ConnectError("connect request without an endpoint")

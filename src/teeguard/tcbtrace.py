@@ -252,26 +252,33 @@ def render_report(report: ExclusionReport) -> str:
     return "\n".join(lines)
 
 
+def merge_graphs(graph_sets: Iterable[Mapping[str, CallGraph]]) -> dict[str, CallGraph]:
+    """Union per-task graphs from several traces: nodes and roots are joined
+    and edge call counts added.  A task seen in one trace keeps its graph."""
+    graphs: dict[str, CallGraph] = {}
+    for per_task in graph_sets:
+        for task, graph in per_task.items():
+            prior = graphs.get(task)
+            if prior is None:
+                graphs[task] = graph
+                continue
+            edges = dict(prior.edges)
+            for key, count in graph.edges.items():
+                edges[key] = edges.get(key, 0) + count
+            graphs[task] = CallGraph(
+                nodes=prior.nodes | graph.nodes,
+                edges=edges,
+                roots=prior.roots | graph.roots,
+            )
+    return graphs
+
+
 def analyze(
     trace_texts: Sequence[str], inventory: Iterable[str], tasks: Sequence[str] | None = None
 ) -> ExclusionReport:
     """Whole-module convenience: parse traces, build per-task graphs, take
     the minimal set for `tasks` (default: every traced task), emit the report."""
-    graphs: dict[str, CallGraph] = {}
-    for text in trace_texts:
-        for task, graph in build_task_graphs(parse_trace(text)).items():
-            if task in graphs:
-                prior = graphs[task]
-                merged_edges = dict(prior.edges)
-                for key, count in graph.edges.items():
-                    merged_edges[key] = merged_edges.get(key, 0) + count
-                graphs[task] = CallGraph(
-                    nodes=prior.nodes | graph.nodes,
-                    edges=merged_edges,
-                    roots=prior.roots | graph.roots,
-                )
-            else:
-                graphs[task] = graph
+    graphs = merge_graphs(build_task_graphs(parse_trace(text)) for text in trace_texts)
     selected = list(tasks) if tasks is not None else sorted(graphs)
     required = minimal_set(graphs, selected)
     return emit_report(inventory, required)

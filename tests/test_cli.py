@@ -133,6 +133,20 @@ def test_trace_report_out_file(tmp_path, capsys):
     assert "CFG_EXCL_DEBUG_DUMP\nCFG_EXCL_SELF_TEST" in text
 
 
+def test_trace_merges_tasks_across_files(tmp_path, capsys):
+    first = tmp_path / "one.trace"
+    second = tmp_path / "two.trace"
+    inventory = tmp_path / "inventory.txt"
+    first.write_text("1 E a rec\n2 E b rec\n3 X b rec\n4 X a rec\n")
+    second.write_text("1 E a rec\n2 E c rec\n3 X c rec\n4 X a rec\n1 E d net\n2 X d net\n")
+    inventory.write_text("a\nb\nc\nd\ne\n")
+    code = main(["trace", str(first), str(second), "--inventory", str(inventory), "--tasks", "rec"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.split("[excluded]")[0] == "[required]\na\nb\nc\n"
+    assert "inventory=5 required=3 excluded=2" in out
+
+
 def test_trace_parse_error_names_file(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text("123 E. broken\n")

@@ -1,6 +1,10 @@
 """Whole-pipeline runs: leak freedom, switch accounting, determinism."""
 
+import threading
+
 import pytest
+
+import teeguard.pipeline
 
 from teeguard.audio import GeneratorConfig
 from teeguard.cloud import MockCloud
@@ -12,11 +16,15 @@ from teeguard.pipeline import (
     run_pipeline,
 )
 from teeguard.relay import (
+    ACK_MALFORMED,
     FLAG_MASKED,
     FRAME_HEADER,
     FilterAction,
     FilterPolicy,
     RecordingTransport,
+    TransportError,
+    decode_frame,
+    encode_ack,
 )
 from teeguard.sense import TrainConfig
 from teeguard.words import Label, split_words
@@ -149,6 +157,87 @@ def test_ring_smaller_than_run_still_drains():
         transport=RecordingTransport(),
     )
     assert result.metrics.processed == 10
+
+
+MASK = FilterPolicy(action=FilterAction.MASK)
+
+
+class FaultyTransport(RecordingTransport):
+    """Recording peer whose exchange number `fail_at` (from 0) fails: it
+    raises a transport error, or NAKs the frame as malformed."""
+
+    def __init__(self, fail_at: int, nak: bool = False):
+        super().__init__()
+        self.fail_at = fail_at
+        self.nak = nak
+
+    def exchange(self, frame: bytes) -> bytes:
+        if len(self.sent) != self.fail_at:
+            return super().exchange(frame)
+        self.sent.append(frame)
+        if self.nak:
+            return encode_ack(decode_frame(frame).sequence, ACK_MALFORMED)
+        raise TransportError("link dropped")
+
+
+def assert_failed_closed(transport, frames: int) -> None:
+    """The transport is closed, `frames` frames went out in sequence order,
+    and none of them carried a keyword."""
+    assert not transport.connected
+    assert [decode_frame(f).sequence for f in transport.sent] == list(range(frames))
+    for frame in transport.sent:
+        assert not set(split_words(decode_frame(frame).payload.decode())) & set(KEYWORDS)
+
+
+@pytest.mark.parametrize("nak", [False, True], ids=["transport-error", "malformed-ack"])
+def test_relay_fault_aborts_in_relay_stage(nak):
+    transport = FaultyTransport(fail_at=6, nak=nak)
+    config = PipelineConfig(seed=12, utterances=20, policy=MASK)
+    with pytest.raises(PipelineError, match="stage relay") as info:
+        run_pipeline(config, transport=transport)
+    assert info.value.stage == "relay"
+    assert_failed_closed(transport, frames=7)  # the failing frame is the last one
+
+
+def test_transcribe_fault_aborts_in_transcribe_stage(monkeypatch):
+    real = teeguard.pipeline.transcribe
+    calls = []
+
+    def failing_transcribe(block, vocab):
+        calls.append(block)
+        if len(calls) == 5:
+            raise ValueError("decoder fault")
+        return real(block, vocab)
+
+    monkeypatch.setattr(teeguard.pipeline, "transcribe", failing_transcribe)
+    transport = RecordingTransport()
+    config = PipelineConfig(seed=12, utterances=20, policy=MASK)
+    with pytest.raises(PipelineError, match="stage transcribe") as info:
+        run_pipeline(config, transport=transport)
+    assert info.value.stage == "transcribe"
+    assert len(calls) == 5
+    assert_failed_closed(transport, frames=4)  # every utterance before the fault
+
+
+class ThreadRecordingTransport(RecordingTransport):
+    """Records the live thread count and the running thread per exchange."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: list[tuple[int, threading.Thread]] = []
+
+    def exchange(self, frame: bytes) -> bytes:
+        self.seen.append((threading.active_count(), threading.current_thread()))
+        return super().exchange(frame)
+
+
+def test_pipeline_starts_no_threads():
+    before = threading.active_count()
+    transport = ThreadRecordingTransport()
+    result = run_pipeline(PipelineConfig(seed=8, utterances=30, policy=MASK), transport)
+    assert result.metrics.forwarded == len(transport.seen) == 30
+    assert max(count for count, _ in transport.seen) <= before
+    assert all(thread is threading.current_thread() for _, thread in transport.seen)
 
 
 def test_unreachable_endpoint_fails_in_setup():

@@ -18,6 +18,7 @@ from teeguard.tcbtrace import (
     build_task_graphs,
     directive_for,
     emit_report,
+    merge_graphs,
     minimal_set,
     parse_trace,
     reachable,
@@ -303,3 +304,19 @@ def test_analyze_merges_traces_and_selects_tasks():
     assert report.excluded == {"d", "e"}
     by_default = analyze([first, second], ["a", "b", "c", "d", "e"])
     assert by_default.required == {"a", "b", "c", "d"}
+
+
+def test_merge_graphs_unions_nodes_and_adds_call_counts():
+    first = build_task_graphs(parse_trace("1 E a rec\n2 E b rec\n3 X b rec\n4 X a rec\n"))
+    second = build_task_graphs(
+        parse_trace("1 E a rec\n2 E b rec\n3 X b rec\n4 E c rec\n5 X c rec\n6 X a rec\n"
+                    "1 E d net\n2 X d net\n")
+    )
+    merged = merge_graphs([first, second])
+    assert sorted(merged) == ["net", "rec"]
+    assert merged["rec"].nodes == {"a", "b", "c"}
+    assert merged["rec"].edges == {("a", "b"): 2, ("a", "c"): 1}
+    assert merged["rec"].roots == {"a"}
+    assert merged["net"] is second["net"]  # a task seen once keeps its graph
+    assert merge_graphs([first]) == first
+    assert merge_graphs([]) == {}
