@@ -22,7 +22,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .relay import FilterAction, FilterPolicy
-from .sense import TrainConfig, evaluate, load_corpus, save_model, train
+from .sense import ARCHITECTURES, TrainConfig, evaluate, load_corpus, save_model, train
 from .tcbtrace import (
     build_task_graphs,
     emit_report,
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classifier on a labeled corpus")
     p.add_argument("--corpus", required=True, help="label<TAB>text lines")
-    p.add_argument("--architecture", required=True, choices=["cnn", "attention", "hybrid"])
+    p.add_argument("--architecture", required=True, choices=ARCHITECTURES)
     p.add_argument("--model-out", dest="model_out", required=True)
     p.add_argument("--history-out", dest="history_out", help="write per-epoch loss here")
     p.add_argument("--epochs", type=int, default=TrainConfig().epochs)

@@ -76,7 +76,10 @@ class EncodedBlock:
         if len(data) < end:
             raise MalformedBlock("truncated payload")
         payload = data[HEADER.size : end]
-        text = data[end:].decode("utf-8")
+        try:
+            text = data[end:].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedBlock("annex is not valid UTF-8") from exc
         return cls(sequence, frame_count, payload, text)
 
 

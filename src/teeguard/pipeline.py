@@ -46,6 +46,7 @@ from .relay import (
     encode_frame,
 )
 from .sense import (
+    ARCHITECTURES,
     TrainConfig,
     Transcript,
     Verdict,
@@ -58,7 +59,7 @@ from .sense import (
 )
 from .words import Label, keyword_label
 
-ARCHITECTURE_CHOICES = ("oracle", "cnn", "attention", "hybrid")
+ARCHITECTURE_CHOICES = ("oracle", *ARCHITECTURES)
 _ANNEX_HEADROOM = 2048  # output buffer slack for the attached transcript
 
 

@@ -8,6 +8,7 @@ architecture.  The attention encoder stores zero for the filter fields.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Sequence
 from pathlib import Path
@@ -73,7 +74,7 @@ def _read_arrays(
 ) -> tuple[list[np.ndarray], int]:
     out = []
     for shape in shapes:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # Python ints: no wraparound on huge headers
         need = count * 8
         if len(buf) - offset < need:
             raise ModelFormatError("model file truncated")

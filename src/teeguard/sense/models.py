@@ -2,10 +2,13 @@
 single-head self-attention encoder, and a hybrid of the two (CNN features in,
 attention classifier out).
 
-All forward passes are pure float64 numpy; gradients are derived analytically
-and exposed through the batch helpers the trainer and the finite-difference
-checks share.  Batches hold same-length token rows, so no masking is needed
-and batched math is exactly the per-example math.
+Each model class holds its own architecture: `min_len` (the shortest token
+row it takes), `params()` (what the trainer updates), `forward(token_rows)`
+returning `(logits, cache)`, and `backward(cache, dlogits)` returning the
+analytic gradients.  `score` runs `forward` on a batch of one, so inference
+and training share one path.  All math is pure float64 numpy.  Batches hold
+same-length token rows, so no masking is needed and batched math is exactly
+the per-example math.
 """
 
 from __future__ import annotations
@@ -31,8 +34,18 @@ def pad_tokens(tokens: Sequence[int], min_len: int) -> list[int]:
     return padded
 
 
+def _embedding_grad(embedding: np.ndarray, tokens: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Scatter-add per-position input gradients back onto embedding rows."""
+    dembedding = np.zeros_like(embedding)
+    np.add.at(dembedding, tokens.reshape(-1), dx.reshape(-1, embedding.shape[1]))
+    return dembedding
+
+
 @dataclass
 class CnnModel:
+    """Embed, convolve (valid padding, ReLU), max-pool over positions, dot
+    with the FC head."""
+
     embedding: np.ndarray  # (V, d)
     conv_filters: np.ndarray  # (F, w, d)
     fc_weights: np.ndarray  # (F,)
@@ -54,15 +67,68 @@ class CnnModel:
     def width(self) -> int:
         return self.conv_filters.shape[1]
 
+    @property
+    def min_len(self) -> int:
+        return self.width
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {
+            "embedding": self.embedding,
+            "conv_filters": self.conv_filters,
+            "fc_weights": self.fc_weights,
+            "fc_bias": self.fc_bias,
+        }
+
+    def _conv_relu(self, token_rows: np.ndarray) -> dict:
+        """Front end shared with the hybrid: embed, convolve, ReLU."""
+        x = self.embedding[token_rows]  # (B, n, d)
+        windows = sliding_window_view(x, self.width, axis=1)  # (B, P, d, w)
+        conv = np.einsum("bpji,fij->bpf", windows, self.conv_filters)
+        feats = np.maximum(conv, 0.0)
+        return {"tokens": token_rows, "x": x, "windows": windows, "conv": conv, "feats": feats}
+
+    def _conv_relu_backward(self, cache: dict, dfeats: np.ndarray) -> dict[str, np.ndarray]:
+        dconv = dfeats * (cache["conv"] > 0.0)
+        dfilters = np.einsum("bpf,bpji->fij", dconv, cache["windows"])
+        spread = np.einsum("bpf,fij->bpij", dconv, self.conv_filters)  # (B, P, w, d)
+        dx = np.zeros_like(cache["x"])
+        positions = spread.shape[1]
+        for i in range(self.width):
+            dx[:, i : i + positions, :] += spread[:, :, i, :]
+        return {
+            "embedding": _embedding_grad(self.embedding, cache["tokens"], dx),
+            "conv_filters": dfilters,
+        }
+
+    def forward(self, token_rows: np.ndarray) -> tuple[np.ndarray, dict]:
+        cache = self._conv_relu(token_rows)
+        cache["argmax"] = cache["feats"].argmax(axis=1)  # (B, F)
+        cache["pooled"] = cache["feats"].max(axis=1)  # (B, F)
+        return cache["pooled"] @ self.fc_weights + self.fc_bias, cache
+
+    def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+        dpooled = dlogits[:, None] * self.fc_weights[None, :]
+        dfeats = np.zeros_like(cache["feats"])
+        np.put_along_axis(dfeats, cache["argmax"][:, None, :], dpooled[:, None, :], axis=1)
+        grads = self._conv_relu_backward(cache, dfeats)
+        grads["fc_weights"] = cache["pooled"].T @ dlogits
+        grads["fc_bias"] = np.asarray(dlogits.sum())
+        return grads
+
 
 @dataclass
 class AttentionEncoder:
+    """Embed, self-attend (single head, scaled dot product), mean-pool, dot
+    with the head."""
+
     embedding: np.ndarray  # (V, d)
     query: np.ndarray  # (d, d)
     key: np.ndarray  # (d, d)
     value: np.ndarray  # (d, d)
     head: np.ndarray  # (d,)
     head_bias: np.ndarray  # ()
+
+    min_len = 1
 
     @property
     def vocab_size(self) -> int:
@@ -72,10 +138,73 @@ class AttentionEncoder:
     def dim(self) -> int:
         return self.embedding.shape[1]
 
+    def params(self) -> dict[str, np.ndarray]:
+        return {
+            "embedding": self.embedding,
+            "query": self.query,
+            "key": self.key,
+            "value": self.value,
+            "head": self.head,
+            "head_bias": self.head_bias,
+        }
+
+    def _attend(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Classify input rows x (B, n, d); shared with the hybrid."""
+        scale = 1.0 / np.sqrt(self.dim)
+        q = x @ self.query
+        k = x @ self.key
+        v = x @ self.value
+        scores = np.einsum("bnd,bmd->bnm", q, k) * scale
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        expd = np.exp(shifted)
+        attn = expd / expd.sum(axis=-1, keepdims=True)  # rows sum to 1
+        context = np.einsum("bnm,bmd->bnd", attn, v)
+        pooled = context.mean(axis=1)
+        cache = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "pooled": pooled}
+        return pooled @ self.head + self.head_bias, cache
+
+    def _attend_backward(
+        self, cache: dict, dlogits: np.ndarray
+    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Returns (parameter grads, gradient w.r.t. the input rows x)."""
+        x, q, k, v, attn = cache["x"], cache["q"], cache["k"], cache["v"], cache["attn"]
+        n = x.shape[1]
+        scale = 1.0 / np.sqrt(self.dim)
+        dhead = cache["pooled"].T @ dlogits
+        dbias = np.asarray(dlogits.sum())
+        dpooled = dlogits[:, None] * self.head[None, :]  # (B, d)
+        dcontext = np.repeat(dpooled[:, None, :], n, axis=1) / n
+        dattn = np.einsum("bnd,bmd->bnm", dcontext, v)
+        dv = np.einsum("bnm,bnd->bmd", attn, dcontext)
+        # softmax backward, rowwise
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dq = np.einsum("bnm,bmd->bnd", dscores, k) * scale
+        dk = np.einsum("bnm,bnd->bmd", dscores, q) * scale
+        grads = {
+            "query": np.einsum("bni,bnj->ij", x, dq),
+            "key": np.einsum("bni,bnj->ij", x, dk),
+            "value": np.einsum("bni,bnj->ij", x, dv),
+            "head": dhead,
+            "head_bias": dbias,
+        }
+        dx = dq @ self.query.T + dk @ self.key.T + dv @ self.value.T
+        return grads, dx
+
+    def forward(self, token_rows: np.ndarray) -> tuple[np.ndarray, dict]:
+        logits, cache = self._attend(self.embedding[token_rows])
+        cache["tokens"] = token_rows
+        return logits, cache
+
+    def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+        grads, dx = self._attend_backward(cache, dlogits)
+        grads["embedding"] = _embedding_grad(self.embedding, cache["tokens"], dx)
+        return grads
+
 
 @dataclass
 class HybridModel:
-    """CNN feature extractor feeding the attention encoder's classifier.
+    """CNN conv+ReLU feature maps (no pooling), projected to the encoder
+    dimension and classified by the attention encoder.
 
     The CNN's fully connected head and the encoder's embedding table are
     bypassed; the projection maps F-dim feature maps into the encoder's
@@ -85,6 +214,40 @@ class HybridModel:
     cnn: CnnModel
     encoder: AttentionEncoder
     proj: np.ndarray  # (F, d)
+
+    @property
+    def vocab_size(self) -> int:
+        return self.cnn.vocab_size
+
+    @property
+    def min_len(self) -> int:
+        return self.cnn.width
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {
+            "embedding": self.cnn.embedding,
+            "conv_filters": self.cnn.conv_filters,
+            "proj": self.proj,
+            "query": self.encoder.query,
+            "key": self.encoder.key,
+            "value": self.encoder.value,
+            "head": self.encoder.head,
+            "head_bias": self.encoder.head_bias,
+        }
+
+    def forward(self, token_rows: np.ndarray) -> tuple[np.ndarray, dict]:
+        cnn_cache = self.cnn._conv_relu(token_rows)
+        projected = cnn_cache["feats"] @ self.proj  # (B, P, d)
+        logits, attn_cache = self.encoder._attend(projected)
+        return logits, {"cnn": cnn_cache, "attn": attn_cache}
+
+    def backward(self, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+        grads, dprojected = self.encoder._attend_backward(cache["attn"], dlogits)
+        feats = cache["cnn"]["feats"]
+        grads["proj"] = np.einsum("bpf,bpd->fd", feats, dprojected)
+        dfeats = dprojected @ self.proj.T
+        grads.update(self.cnn._conv_relu_backward(cache["cnn"], dfeats))
+        return grads
 
 
 Model = CnnModel | AttentionEncoder | HybridModel
@@ -123,238 +286,30 @@ def init_hybrid(
 
 def trainable_params(model: Model) -> dict[str, np.ndarray]:
     """Parameters the trainer updates, keyed for gradient bookkeeping."""
-    if isinstance(model, CnnModel):
-        return {
-            "embedding": model.embedding,
-            "conv_filters": model.conv_filters,
-            "fc_weights": model.fc_weights,
-            "fc_bias": model.fc_bias,
-        }
-    if isinstance(model, AttentionEncoder):
-        return {
-            "embedding": model.embedding,
-            "query": model.query,
-            "key": model.key,
-            "value": model.value,
-            "head": model.head,
-            "head_bias": model.head_bias,
-        }
-    return {
-        "embedding": model.cnn.embedding,
-        "conv_filters": model.cnn.conv_filters,
-        "proj": model.proj,
-        "query": model.encoder.query,
-        "key": model.encoder.key,
-        "value": model.encoder.value,
-        "head": model.encoder.head,
-        "head_bias": model.encoder.head_bias,
-    }
+    return model.params()
 
 
-def _validate_tokens(tokens: Sequence[int], vocab_size: int) -> None:
-    if any(t < 0 or t >= vocab_size for t in tokens):
-        raise ValueError(f"token index outside [0, {vocab_size})")
+def min_length(model: Model) -> int:
+    """Shortest token row the model accepts without padding."""
+    return model.min_len
 
 
-# ---------------------------------------------------------------------------
-# CNN
-# ---------------------------------------------------------------------------
+def _one_row(model: Model, tokens: Sequence[int]) -> np.ndarray:
+    """`tokens` padded with unknown tokens to `model.min_len`, checked against
+    the vocabulary, as a batch of one row."""
+    padded = pad_tokens(tokens, model.min_len)
+    if any(t < 0 or t >= model.vocab_size for t in padded):
+        raise ValueError(f"token index outside [0, {model.vocab_size})")
+    return np.array([padded])
 
 
-def _conv_relu(model: CnnModel, token_rows: np.ndarray) -> dict:
-    """Shared CNN front end: embed, valid-padding convolution, ReLU."""
-    x = model.embedding[token_rows]  # (B, n, d)
-    windows = sliding_window_view(x, model.width, axis=1)  # (B, P, d, w)
-    conv = np.einsum("bpji,fij->bpf", windows, model.conv_filters)
-    feats = np.maximum(conv, 0.0)
-    return {"tokens": token_rows, "x": x, "windows": windows, "conv": conv, "feats": feats}
-
-
-def _conv_relu_backward(
-    model: CnnModel, cache: dict, dfeats: np.ndarray
-) -> dict[str, np.ndarray]:
-    dconv = dfeats * (cache["conv"] > 0.0)
-    dfilters = np.einsum("bpf,bpji->fij", dconv, cache["windows"])
-    spread = np.einsum("bpf,fij->bpij", dconv, model.conv_filters)  # (B, P, w, d)
-    dx = np.zeros_like(cache["x"])
-    positions = spread.shape[1]
-    for i in range(model.width):
-        dx[:, i : i + positions, :] += spread[:, :, i, :]
-    dembedding = np.zeros_like(model.embedding)
-    np.add.at(dembedding, cache["tokens"].reshape(-1), dx.reshape(-1, model.dim))
-    return {"embedding": dembedding, "conv_filters": dfilters}
-
-
-def cnn_batch_forward(model: CnnModel, token_rows: np.ndarray) -> tuple[np.ndarray, dict]:
-    cache = _conv_relu(model, token_rows)
-    pooled = cache["feats"].max(axis=1)  # (B, F)
-    cache["argmax"] = cache["feats"].argmax(axis=1)  # (B, F)
-    cache["pooled"] = pooled
-    cache["logits"] = pooled @ model.fc_weights + model.fc_bias
-    return sigmoid(cache["logits"]), cache
-
-
-def cnn_batch_backward(
-    model: CnnModel, cache: dict, dlogits: np.ndarray
-) -> dict[str, np.ndarray]:
-    dfc = cache["pooled"].T @ dlogits
-    dbias = np.asarray(dlogits.sum())
-    dpooled = dlogits[:, None] * model.fc_weights[None, :]
-    dfeats = np.zeros_like(cache["feats"])
-    np.put_along_axis(dfeats, cache["argmax"][:, None, :], dpooled[:, None, :], axis=1)
-    grads = _conv_relu_backward(model, cache, dfeats)
-    grads["fc_weights"] = dfc
-    grads["fc_bias"] = dbias
-    return grads
-
-
-def cnn_forward(model: CnnModel, tokens: Sequence[int]) -> float:
-    """Embed, convolve (valid padding, ReLU), max-pool, dot with the FC head,
-    squash to [0, 1].  Short inputs are padded with unknown tokens."""
-    padded = pad_tokens(tokens, model.width)
-    _validate_tokens(padded, model.vocab_size)
-    scores, _ = cnn_batch_forward(model, np.array([padded]))
-    return float(scores[0])
-
-
-# ---------------------------------------------------------------------------
-# Self-attention encoder
-# ---------------------------------------------------------------------------
-
-
-def _attend(encoder: AttentionEncoder, x: np.ndarray) -> dict:
-    """Scaled dot-product self-attention (single head) over input rows x."""
-    scale = 1.0 / np.sqrt(encoder.dim)
-    q = x @ encoder.query
-    k = x @ encoder.key
-    v = x @ encoder.value
-    scores = np.einsum("bnd,bmd->bnm", q, k) * scale
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    attn = expd / expd.sum(axis=-1, keepdims=True)  # rows sum to 1
-    context = np.einsum("bnm,bmd->bnd", attn, v)
-    pooled = context.mean(axis=1)
-    logits = pooled @ encoder.head + encoder.head_bias
-    return {
-        "x": x, "q": q, "k": k, "v": v, "attn": attn,
-        "context": context, "pooled": pooled, "logits": logits,
-    }
-
-
-def _attend_backward(
-    encoder: AttentionEncoder, cache: dict, dlogits: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Returns (parameter grads, gradient w.r.t. the input rows x)."""
-    x, q, k, v, attn = cache["x"], cache["q"], cache["k"], cache["v"], cache["attn"]
-    n = x.shape[1]
-    scale = 1.0 / np.sqrt(encoder.dim)
-    dhead = cache["pooled"].T @ dlogits
-    dbias = np.asarray(dlogits.sum())
-    dpooled = dlogits[:, None] * encoder.head[None, :]  # (B, d)
-    dcontext = np.repeat(dpooled[:, None, :], n, axis=1) / n
-    dattn = np.einsum("bnd,bmd->bnm", dcontext, v)
-    dv = np.einsum("bnm,bnd->bmd", attn, dcontext)
-    # softmax backward, rowwise
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dq = np.einsum("bnm,bmd->bnd", dscores, k) * scale
-    dk = np.einsum("bnm,bnd->bmd", dscores, q) * scale
-    grads = {
-        "query": np.einsum("bni,bnj->ij", x, dq),
-        "key": np.einsum("bni,bnj->ij", x, dk),
-        "value": np.einsum("bni,bnj->ij", x, dv),
-        "head": dhead,
-        "head_bias": dbias,
-    }
-    dx = dq @ encoder.query.T + dk @ encoder.key.T + dv @ encoder.value.T
-    return grads, dx
-
-
-def attention_batch_forward(
-    encoder: AttentionEncoder, token_rows: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    x = encoder.embedding[token_rows]
-    cache = _attend(encoder, x)
-    cache["tokens"] = token_rows
-    return sigmoid(cache["logits"]), cache
-
-
-def attention_batch_backward(
-    encoder: AttentionEncoder, cache: dict, dlogits: np.ndarray
-) -> dict[str, np.ndarray]:
-    grads, dx = _attend_backward(encoder, cache, dlogits)
-    dembedding = np.zeros_like(encoder.embedding)
-    np.add.at(dembedding, cache["tokens"].reshape(-1), dx.reshape(-1, encoder.dim))
-    grads["embedding"] = dembedding
-    return grads
-
-
-def attention_forward(encoder: AttentionEncoder, tokens: Sequence[int]) -> float:
-    """Embed, self-attend, mean-pool, dot with the head, squash to [0, 1]."""
-    padded = pad_tokens(tokens, 1)
-    _validate_tokens(padded, encoder.vocab_size)
-    scores, _ = attention_batch_forward(encoder, np.array([padded]))
-    return float(scores[0])
+def score(model: Model, tokens: Sequence[int]) -> float:
+    """Sensitivity score in [0, 1] for one token sequence."""
+    logits, _ = model.forward(_one_row(model, tokens))
+    return float(sigmoid(logits)[0])
 
 
 def attention_weights(encoder: AttentionEncoder, tokens: Sequence[int]) -> np.ndarray:
     """Post-softmax attention matrix for one input (rows sum to 1)."""
-    padded = pad_tokens(tokens, 1)
-    _validate_tokens(padded, encoder.vocab_size)
-    x = encoder.embedding[np.array([padded])]
-    return _attend(encoder, x)["attn"][0]
-
-
-# ---------------------------------------------------------------------------
-# Hybrid: CNN features -> attention classifier
-# ---------------------------------------------------------------------------
-
-
-def hybrid_batch_forward(model: HybridModel, token_rows: np.ndarray) -> tuple[np.ndarray, dict]:
-    cnn_cache = _conv_relu(model.cnn, token_rows)
-    projected = cnn_cache["feats"] @ model.proj  # (B, P, d)
-    attn_cache = _attend(model.encoder, projected)
-    cache = {"cnn": cnn_cache, "attn": attn_cache}
-    return sigmoid(attn_cache["logits"]), cache
-
-
-def hybrid_batch_backward(
-    model: HybridModel, cache: dict, dlogits: np.ndarray
-) -> dict[str, np.ndarray]:
-    grads, dprojected = _attend_backward(model.encoder, cache["attn"], dlogits)
-    feats = cache["cnn"]["feats"]
-    grads["proj"] = np.einsum("bpf,bpd->fd", feats, dprojected)
-    dfeats = dprojected @ model.proj.T
-    grads.update(_conv_relu_backward(model.cnn, cache["cnn"], dfeats))
-    return grads
-
-
-def hybrid_forward(model: HybridModel, tokens: Sequence[int]) -> float:
-    """CNN conv+ReLU feature maps (no pooling), projected to the encoder
-    dimension and classified by the attention head."""
-    padded = pad_tokens(tokens, model.cnn.width)
-    _validate_tokens(padded, model.cnn.vocab_size)
-    scores, _ = hybrid_batch_forward(model, np.array([padded]))
-    return float(scores[0])
-
-
-FORWARD = {
-    CnnModel: cnn_forward,
-    AttentionEncoder: attention_forward,
-    HybridModel: hybrid_forward,
-}
-
-BATCH_FORWARD = {
-    CnnModel: cnn_batch_forward,
-    AttentionEncoder: attention_batch_forward,
-    HybridModel: hybrid_batch_forward,
-}
-
-BATCH_BACKWARD = {
-    CnnModel: cnn_batch_backward,
-    AttentionEncoder: attention_batch_backward,
-    HybridModel: hybrid_batch_backward,
-}
-
-
-def score(model: Model, tokens: Sequence[int]) -> float:
-    return FORWARD[type(model)](model, tokens)
+    _, cache = encoder._attend(encoder.embedding[_one_row(encoder, tokens)])
+    return cache["attn"][0]

@@ -14,17 +14,14 @@ import numpy as np
 
 from ..words import Label
 from .models import (
-    BATCH_BACKWARD,
-    BATCH_FORWARD,
-    AttentionEncoder,
-    CnnModel,
-    HybridModel,
     Model,
     init_attention,
     init_cnn,
     init_hybrid,
+    min_length,
     pad_tokens,
     score,
+    sigmoid,
     trainable_params,
 )
 from .text import Vocab, tokenize
@@ -79,15 +76,6 @@ class TrainResult:
     loss_history: list[float] = field(default_factory=list)
 
 
-def min_length(model: Model) -> int:
-    """Shortest token row the model accepts without padding."""
-    if isinstance(model, CnnModel):
-        return model.width
-    if isinstance(model, HybridModel):
-        return model.cnn.width
-    return 1
-
-
 def group_by_length(
     token_lists: Sequence[Sequence[int]], labels: Sequence[Label], min_len: int
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -113,16 +101,13 @@ def loss_and_gradients(
     model: Model, grouped: dict[int, tuple[np.ndarray, np.ndarray]], count: int
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean binary cross-entropy over all samples plus its exact gradient."""
-    forward = BATCH_FORWARD[type(model)]
-    backward = BATCH_BACKWARD[type(model)]
     total = 0.0
     grads: dict[str, np.ndarray] | None = None
     for rows, targets in grouped.values():
-        scores, cache = forward(model, rows)
-        logits = cache["logits"] if "logits" in cache else cache["attn"]["logits"]
+        logits, cache = model.forward(rows)
         total += float(_binary_loss(logits, targets).sum())
-        dlogits = (scores - targets) / count
-        part = backward(model, cache, dlogits)
+        dlogits = (sigmoid(logits) - targets) / count
+        part = model.backward(cache, dlogits)
         if grads is None:
             grads = part
         else:

@@ -301,6 +301,8 @@ def test_malformed_blocks_rejected():
         EncodedBlock.from_bytes(b"XXXX" + good[4:])
     with pytest.raises(MalformedBlock):
         EncodedBlock.from_bytes(good[:-2])  # annex is fine to drop, payload is not
+    with pytest.raises(MalformedBlock):
+        EncodedBlock.from_bytes(good + b"\xff\xfe")  # annex is not UTF-8
     mangled = bytearray(good)
     mangled[12] ^= 0xFF  # payload_length disagrees with frame_count
     with pytest.raises(MalformedBlock):

@@ -125,6 +125,18 @@ def test_zero_dims_rejected():
         model_from_bytes(bytes(raw))
 
 
+@pytest.mark.parametrize(
+    "tag, dims",
+    [(2, (2**32 - 1, 2**32 - 1, 0, 0)), (1, (2, 2, 2**31, 2**31))],
+    ids=["attention-huge-vocab-and-dim", "cnn-huge-filters"],
+)
+def test_huge_header_dims_rejected(tag, dims):
+    # array sizes past 2**63 elements must not wrap into a passing size check
+    raw = struct.pack("<4s5I", MODEL_MAGIC, tag, *dims) + b"\x00" * 64
+    with pytest.raises(ModelFormatError):
+        model_from_bytes(raw)
+
+
 def test_inconsistent_hybrid_rejected():
     rng = np.random.default_rng(0)
     broken = HybridModel(

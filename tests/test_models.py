@@ -12,15 +12,13 @@ from teeguard.sense.models import (
     AttentionEncoder,
     CnnModel,
     HybridModel,
-    attention_forward,
     attention_weights,
-    cnn_forward,
-    hybrid_forward,
     init_attention,
     init_cnn,
     init_hybrid,
     pad_tokens,
     score,
+    sigmoid,
     trainable_params,
 )
 from teeguard.sense.training import group_by_length, loss_and_gradients, min_length
@@ -51,10 +49,10 @@ def zero_attention(vocab=5, dim=3):
 
 
 def test_zero_parameters_score_half():
-    assert cnn_forward(zero_cnn(), [1, 2, 3]) == 0.5
-    assert attention_forward(zero_attention(), [1, 2]) == 0.5
+    assert score(zero_cnn(), [1, 2, 3]) == 0.5
+    assert score(zero_attention(), [1, 2]) == 0.5
     hybrid = HybridModel(zero_cnn(), zero_attention(), np.zeros((2, 3)))
-    assert hybrid_forward(hybrid, [1, 2, 3]) == 0.5
+    assert score(hybrid, [1, 2, 3]) == 0.5
 
 
 def test_cnn_single_filter_scalar_oracle():
@@ -68,7 +66,7 @@ def test_cnn_single_filter_scalar_oracle():
     # tokens [1, 2, 3] -> conv positions: 0.2 and 0.85; max-pool -> 0.85
     # logit = 0.85 * 2.0 + 0.25 = 1.95
     expected = 1.0 / (1.0 + math.exp(-1.95))
-    assert cnn_forward(model, [1, 2, 3]) == pytest.approx(expected, abs=1e-9)
+    assert score(model, [1, 2, 3]) == pytest.approx(expected, abs=1e-9)
 
 
 def test_cnn_relu_clamps_negative_maps():
@@ -79,7 +77,7 @@ def test_cnn_relu_clamps_negative_maps():
         fc_bias=np.array(0.3),
     )
     # all feature maps clamp to zero, so only the bias survives
-    assert cnn_forward(model, [1, 2]) == pytest.approx(1.0 / (1.0 + math.exp(-0.3)))
+    assert score(model, [1, 2]) == pytest.approx(1.0 / (1.0 + math.exp(-0.3)))
 
 
 def test_attention_identity_projections_pass_embedding_through():
@@ -95,14 +93,14 @@ def test_attention_identity_projections_pass_embedding_through():
     # one token: attention is the 1x1 identity, context == embedding row
     # logit = 0.3*2 - 0.7*1 + 0.5 = 0.4
     expected = 1.0 / (1.0 + math.exp(-0.4))
-    assert attention_forward(encoder, [1]) == pytest.approx(expected, abs=1e-9)
+    assert score(encoder, [1]) == pytest.approx(expected, abs=1e-9)
 
 
 def test_attention_repeated_token_changes_nothing():
     encoder = init_attention(6, 4, np.random.default_rng(3))
-    single = attention_forward(encoder, [2])
-    assert attention_forward(encoder, [2, 2]) == pytest.approx(single, abs=1e-12)
-    assert attention_forward(encoder, [2, 2, 2]) == pytest.approx(single, abs=1e-12)
+    single = score(encoder, [2])
+    assert score(encoder, [2, 2]) == pytest.approx(single, abs=1e-12)
+    assert score(encoder, [2, 2, 2]) == pytest.approx(single, abs=1e-12)
 
 
 def test_hybrid_uniform_attention_oracle():
@@ -125,7 +123,7 @@ def test_hybrid_uniform_attention_oracle():
     # tokens [1, 3]: feature maps relu(2x) = [1.0, 4.0]; mean 2.5
     # logit = 2.5 * 0.4 - 0.6 = 0.4
     expected = 1.0 / (1.0 + math.exp(-0.4))
-    assert hybrid_forward(model, [1, 3]) == pytest.approx(expected, abs=1e-9)
+    assert score(model, [1, 3]) == pytest.approx(expected, abs=1e-9)
 
 
 # -- symmetries ----------------------------------------------------------------
@@ -134,7 +132,7 @@ def test_hybrid_uniform_attention_oracle():
 def test_cnn_filter_permutation_symmetry():
     model = init_cnn(8, 4, 3, 2, np.random.default_rng(0))
     tokens = [1, 5, 2, 7]
-    baseline = cnn_forward(model, tokens)
+    baseline = score(model, tokens)
     perm = [2, 0, 1]
     shuffled = CnnModel(
         embedding=model.embedding,
@@ -142,7 +140,7 @@ def test_cnn_filter_permutation_symmetry():
         fc_weights=model.fc_weights[perm],
         fc_bias=model.fc_bias,
     )
-    assert cnn_forward(shuffled, tokens) == pytest.approx(baseline, abs=1e-12)
+    assert score(shuffled, tokens) == pytest.approx(baseline, abs=1e-12)
 
 
 def test_embedding_row_permutation_symmetry():
@@ -154,13 +152,13 @@ def test_embedding_row_permutation_symmetry():
     remapped = [int(np.where(perm == t)[0][0]) for t in tokens]
 
     cnn2 = CnnModel(cnn.embedding[perm], cnn.conv_filters, cnn.fc_weights, cnn.fc_bias)
-    assert cnn_forward(cnn2, remapped) == pytest.approx(cnn_forward(cnn, tokens), abs=1e-12)
+    assert score(cnn2, remapped) == pytest.approx(score(cnn, tokens), abs=1e-12)
 
     att2 = AttentionEncoder(
         att.embedding[perm], att.query, att.key, att.value, att.head, att.head_bias
     )
-    assert attention_forward(att2, remapped) == pytest.approx(
-        attention_forward(att, tokens), abs=1e-12
+    assert score(att2, remapped) == pytest.approx(
+        score(att, tokens), abs=1e-12
     )
 
 
@@ -168,11 +166,11 @@ def test_hybrid_ignores_unused_components():
     rng = np.random.default_rng(2)
     model = init_hybrid(8, 4, 3, 2, rng)
     tokens = [3, 1, 6, 2]
-    baseline = hybrid_forward(model, tokens)
+    baseline = score(model, tokens)
     model.cnn.fc_weights[:] = 99.0
     model.cnn.fc_bias[()] = -5.0
     model.encoder.embedding[:] = 7.0
-    assert hybrid_forward(model, tokens) == baseline
+    assert score(model, tokens) == baseline
 
 
 # -- scores, weights, padding, validation ----------------------------------------
@@ -191,6 +189,19 @@ def test_scores_always_in_unit_interval(seed, tokens):
         assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.parametrize(
+    "init, dims",
+    [(init_cnn, (10, 4, 3, 2)), (init_attention, (10, 4)), (init_hybrid, (10, 4, 3, 2))],
+    ids=["cnn", "attention", "hybrid"],
+)
+def test_batched_forward_equals_single_scores(init, dims):
+    rng = np.random.default_rng(21)
+    model = init(*dims, rng)
+    rows = rng.integers(0, 10, size=(50, 7))
+    logits, _ = model.forward(rows)
+    assert np.array_equal(sigmoid(logits), [score(model, list(r)) for r in rows])
+
+
 def test_attention_rows_sum_to_one():
     encoder = init_attention(12, 6, np.random.default_rng(9))
     weights = attention_weights(encoder, [3, 1, 4, 1, 5])
@@ -201,10 +212,10 @@ def test_attention_rows_sum_to_one():
 
 def test_short_inputs_are_padded_with_unknown():
     model = init_cnn(8, 4, 3, 3, np.random.default_rng(4))
-    assert cnn_forward(model, [5]) == cnn_forward(model, [5, 0, 0])
-    assert cnn_forward(model, []) == cnn_forward(model, [0, 0, 0])
+    assert score(model, [5]) == score(model, [5, 0, 0])
+    assert score(model, []) == score(model, [0, 0, 0])
     encoder = init_attention(8, 4, np.random.default_rng(4))
-    assert attention_forward(encoder, []) == attention_forward(encoder, [0])
+    assert score(encoder, []) == score(encoder, [0])
 
 
 def test_pad_tokens_keeps_long_inputs():
@@ -216,9 +227,9 @@ def test_pad_tokens_keeps_long_inputs():
 def test_out_of_range_tokens_rejected():
     model = init_cnn(8, 4, 3, 2, np.random.default_rng(5))
     with pytest.raises(ValueError):
-        cnn_forward(model, [1, 8])
+        score(model, [1, 8])
     with pytest.raises(ValueError):
-        attention_forward(init_attention(8, 4, np.random.default_rng(5)), [-1])
+        score(init_attention(8, 4, np.random.default_rng(5)), [-1])
 
 
 # -- gradient checks -------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import teeguard.pipeline
 
-from teeguard.audio import GeneratorConfig
+from teeguard.audio import GeneratorConfig, make_labeled_corpus
 from teeguard.cloud import MockCloud
 from teeguard.pipeline import (
     ClassifierConfig,
@@ -26,7 +26,7 @@ from teeguard.relay import (
     decode_frame,
     encode_ack,
 )
-from teeguard.sense import TrainConfig
+from teeguard.sense import TrainConfig, save_corpus, save_model, train
 from teeguard.words import Label, split_words
 
 KEYWORDS = GeneratorConfig().keywords
@@ -148,6 +148,28 @@ def test_trained_classifier_path_runs():
     assert metrics.processed == 20
     assert metrics.forwarded == 20 - metrics.sensitive
     assert metrics.switches == 2 * metrics.forwarded
+
+
+def test_loaded_model_matches_in_process_training(tmp_path):
+    train_config = TrainConfig(learning_rate=1.0, epochs=60, seed=0)
+    corpus = make_labeled_corpus(GeneratorConfig(), 0, 120)
+    save_model(tmp_path / "cnn.bin", train("cnn", corpus, train_config).model)
+    save_corpus(tmp_path / "corpus.tsv", corpus)
+
+    def run(classifier):
+        config = PipelineConfig(seed=4, utterances=50, classifier=classifier)
+        return run_pipeline(config, transport=RecordingTransport())
+
+    trained = run(ClassifierConfig(architecture="cnn", train=train_config, train_utterances=120))
+    loaded = run(
+        ClassifierConfig(
+            architecture="cnn",
+            model_path=str(tmp_path / "cnn.bin"),
+            corpus_path=str(tmp_path / "corpus.tsv"),
+        )
+    )
+    assert loaded.log.render() == trained.log.render()
+    assert loaded.sent_payloads == trained.sent_payloads
 
 
 def test_ring_smaller_than_run_still_drains():
