@@ -23,21 +23,20 @@ from .pipeline import (
 )
 from .relay import FilterAction, FilterPolicy
 from .sense import ARCHITECTURES, TrainConfig, evaluate, load_corpus, save_model, train
-from .tcbtrace import (
-    build_task_graphs,
-    emit_report,
-    merge_graphs,
-    minimal_set,
-    parse_trace,
-    render_report,
-)
+from .tcbtrace import emit_report, merge_graphs, minimal_set, render_report, task_graphs
+
+
+def _parse_port(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) > 65535:
+        raise ValueError(f"port must be a number from 0 to 65535, got {text!r}")
+    return int(text)
 
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"endpoint must look like host:port, got {text!r}")
-    return host, int(port)
+    return host, _parse_port(port)
 
 
 def _parse_keywords(text: str) -> tuple[str, ...]:
@@ -172,8 +171,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     per_trace = []
     for path in args.traces:
         try:
-            events = parse_trace(Path(path).read_text(encoding="utf-8"))
-            per_trace.append(build_task_graphs(events))
+            per_trace.append(task_graphs(Path(path).read_text(encoding="utf-8")))
         except ValueError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the mock collector until interrupted")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9747)
+    p.add_argument("--port", type=_parse_port, default=9747)
     p.add_argument("--dump", help="append received payload text here, one per line")
     p.set_defaults(func=cmd_serve)
 

@@ -1,15 +1,20 @@
 """Call-trace analysis for trimming the trusted driver down to what runs.
 
 Traces are flat text, one event per line: ``<timestamp> <E|X> <function>
-<task>``.  Stack replay per task rebuilds the dynamic call graph; the union
-of nodes reachable from the selected tasks' roots is the set a build must
-keep, and everything else in the inventory gets an exclusion directive.
+<task>``.  `task_graphs` reads a trace in one pass: a scanner checks each
+line and hands it straight to a per-task stack replay, which rebuilds the
+dynamic call graph without keeping per-event objects.  A bad trace raises
+`ParseError` at its first bad line, else `UnbalancedTrace` if a task never
+exits a call, else `MismatchedExit` for the first task to appear that exits
+a function not on top of its stack.  The union of nodes reachable from the
+selected tasks' roots is the set a build must keep, and everything else in
+the inventory gets an exclusion directive.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,54 +67,86 @@ class TraceEvent:
                 raise ValueError(f"bad identifier {name!r}")
 
 
-def parse_trace(text: str) -> list[TraceEvent]:
-    """Parse a trace log.  Blank lines and `#` comments are skipped; each
-    task's timestamps must be non-decreasing and its Enters must all be
-    matched by the end of input."""
-    events: list[TraceEvent] = []
-    stacks: dict[str, list[str]] = {}
+_DIRECTIONS = {d.value: d for d in Direction}
+_Row = tuple[int, Direction, str, str]  # timestamp, direction, function, task
+# A task's replay state: the calls still open, nodes, edge call counts, roots.
+_TaskState = tuple[list[str], set[str], dict[tuple[str, str], int], set[str]]
+
+
+def _scan(text: str) -> Iterator[_Row]:
+    """Yield each event line of a trace as a checked row.  Blank lines and
+    `#` comments are skipped; each task's timestamps must be non-decreasing."""
     last_ts: dict[str, int] = {}
+    checked: set[str] = set()  # names that already matched _IDENTIFIER
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) != 4:
             raise ParseError(lineno, f"expected 4 fields, got {len(fields)}")
         ts_text, dir_text, function, task = fields
-        if not ts_text.isdigit():
+        if not (ts_text.isascii() and ts_text.isdigit()):
             raise ParseError(lineno, f"bad timestamp {ts_text!r}")
         timestamp = int(ts_text)
         if timestamp >= TIMESTAMP_LIMIT:
             raise ParseError(lineno, "timestamp outside u64 range")
-        try:
-            direction = Direction(dir_text)
-        except ValueError:
-            raise ParseError(lineno, f"unknown direction {dir_text!r}") from None
+        direction = _DIRECTIONS.get(dir_text)
+        if direction is None:
+            raise ParseError(lineno, f"unknown direction {dir_text!r}")
         for name in (function, task):
-            if not _IDENTIFIER.match(name):
-                raise ParseError(lineno, f"bad identifier {name!r}")
-        if task in last_ts and timestamp < last_ts[task]:
+            if name not in checked:
+                if not _IDENTIFIER.match(name):
+                    raise ParseError(lineno, f"bad identifier {name!r}")
+                checked.add(name)
+        if timestamp < last_ts.get(task, 0):
             raise ParseError(lineno, f"timestamp went backwards for task {task!r}")
         last_ts[task] = timestamp
+        yield timestamp, direction, function, task
 
-        stack = stacks.setdefault(task, [])
-        if direction is Direction.ENTER:
+
+def _replay(rows: Iterable[_Row]) -> tuple[dict[str, _TaskState], dict[str, str]]:
+    """Replay each task's call stack.  Returns every task's state, in order
+    of first appearance, and the first mismatched exit of each task, in the
+    order met.  An exit that does not match the top of its stack is not
+    popped."""
+    tasks: dict[str, _TaskState] = {}
+    mismatches: dict[str, str] = {}
+    enter = Direction.ENTER
+    for _, direction, function, task in rows:
+        state = tasks.get(task) or tasks.setdefault(task, ([], set(), {}, set()))
+        stack, nodes, edges, roots = state
+        if direction is enter:
+            nodes.add(function)
+            if stack:
+                key = (stack[-1], function)
+                edges[key] = edges.get(key, 0) + 1
+            else:
+                roots.add(function)
             stack.append(function)
         elif stack and stack[-1] == function:
             stack.pop()
-        events.append(TraceEvent(timestamp, direction, function, task))
+        elif task not in mismatches:
+            top = stack[-1] if stack else "<empty>"
+            mismatches[task] = f"task {task!r} exits {function!r} but the stack top is {top}"
+    return tasks, mismatches
 
-    leftovers = {
-        task: list(stack) for task, stack in stacks.items() if stack
-    }
-    if leftovers:
-        parts = "; ".join(
+
+def _check_balance(tasks: Mapping[str, _TaskState]) -> None:
+    open_calls = sorted((task, state[0]) for task, state in tasks.items() if state[0])
+    if open_calls:
+        raise UnbalancedTrace("; ".join(
             f"task {task!r} never exited {', '.join(sorted(set(stack)))}"
-            for task, stack in sorted(leftovers.items())
-        )
-        raise UnbalancedTrace(parts)
-    return events
+            for task, stack in open_calls
+        ))
+
+
+def parse_trace(text: str) -> list[TraceEvent]:
+    """Parse a trace log.  Blank lines and `#` comments are skipped; each
+    task's timestamps must be non-decreasing and its Enters must all be
+    matched by the end of input."""
+    rows = list(_scan(text))
+    _check_balance(_replay(rows)[0])
+    return [TraceEvent(*row) for row in rows]
 
 
 def render_events(events: Iterable[TraceEvent]) -> str:
@@ -134,42 +171,35 @@ class CallGraph:
             raise ValueError("roots must be nodes")
 
 
-def _replay(events: Iterable[TraceEvent]) -> tuple[set[str], dict[tuple[str, str], int], set[str]]:
-    nodes: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
-    roots: set[str] = set()
-    stacks: dict[str, list[str]] = {}
-    for event in events:
-        stack = stacks.setdefault(event.task, [])
-        if event.direction is Direction.ENTER:
-            nodes.add(event.function)
-            if stack:
-                key = (stack[-1], event.function)
-                edges[key] = edges.get(key, 0) + 1
-            else:
-                roots.add(event.function)
-            stack.append(event.function)
-        else:
-            if not stack or stack[-1] != event.function:
-                top = stack[-1] if stack else "<empty>"
-                raise MismatchedExit(
-                    f"task {event.task!r} exits {event.function!r} but the stack top is {top}"
-                )
-            stack.pop()
-    return nodes, edges, roots
+def _task_graphs(tasks: dict[str, _TaskState], mismatches: dict[str, str]) -> dict[str, CallGraph]:
+    """One graph per replayed task; the first task with a mismatched exit raises."""
+    for task in tasks:
+        if task in mismatches:
+            raise MismatchedExit(mismatches[task])
+    return {task: CallGraph(frozenset(nodes), edges, frozenset(roots))
+            for task, (_, nodes, edges, roots) in tasks.items()}
+
+
+def task_graphs(text: str) -> dict[str, CallGraph]:
+    """Per-task call graphs of one trace, read in a single pass; errors come
+    in the order the module docstring gives."""
+    tasks, mismatches = _replay(_scan(text))
+    _check_balance(tasks)
+    return _task_graphs(tasks, mismatches)
 
 
 def build_callgraph(events: Iterable[TraceEvent]) -> CallGraph:
-    """Replay the per-task stacks and merge every task into one graph."""
-    nodes, edges, roots = _replay(events)
-    return CallGraph(nodes=frozenset(nodes), edges=edges, roots=frozenset(roots))
+    """Replay the per-task stacks and merge every task into one graph; the
+    first mismatched exit met raises."""
+    tasks, mismatches = _replay((e.timestamp, e.direction, e.function, e.task) for e in events)
+    if mismatches:
+        raise MismatchedExit(next(iter(mismatches.values())))
+    merged = merge_graphs({"": graph} for graph in _task_graphs(tasks, {}).values())
+    return merged.get("", CallGraph(frozenset(), {}, frozenset()))
 
 
 def build_task_graphs(events: Iterable[TraceEvent]) -> dict[str, CallGraph]:
-    by_task: dict[str, list[TraceEvent]] = {}
-    for event in events:
-        by_task.setdefault(event.task, []).append(event)
-    return {task: build_callgraph(evts) for task, evts in by_task.items()}
+    return _task_graphs(*_replay((e.timestamp, e.direction, e.function, e.task) for e in events))
 
 
 def reachable(graph: CallGraph) -> set[str]:
@@ -276,9 +306,10 @@ def merge_graphs(graph_sets: Iterable[Mapping[str, CallGraph]]) -> dict[str, Cal
 def analyze(
     trace_texts: Sequence[str], inventory: Iterable[str], tasks: Sequence[str] | None = None
 ) -> ExclusionReport:
-    """Whole-module convenience: parse traces, build per-task graphs, take
-    the minimal set for `tasks` (default: every traced task), emit the report."""
-    graphs = merge_graphs(build_task_graphs(parse_trace(text)) for text in trace_texts)
+    """Whole-module convenience: read each trace in one pass into per-task
+    graphs, merge them, take the minimal set for `tasks` (default: every
+    traced task), emit the report."""
+    graphs = merge_graphs(task_graphs(text) for text in trace_texts)
     selected = list(tasks) if tasks is not None else sorted(graphs)
     required = minimal_set(graphs, selected)
     return emit_report(inventory, required)

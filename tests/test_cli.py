@@ -13,10 +13,11 @@ import pytest
 
 import teeguard
 from teeguard.audio import GeneratorConfig, make_labeled_corpus
-from teeguard.cli import main
+from teeguard.cli import _parse_endpoint, build_parser, main
 from teeguard.cloud import MockCloud
 from teeguard.relay import RelayPacket, encode_frame
 from teeguard.sense import load_model, save_corpus
+from teeguard.tcbtrace import analyze, render_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,6 +148,21 @@ def test_trace_merges_tasks_across_files(tmp_path, capsys):
     assert "inventory=5 required=3 excluded=2" in out
 
 
+def test_trace_prints_the_analyze_report(capsys):
+    code = main(
+        [
+            "trace", str(DATA / "session.trace"),
+            "--inventory", str(DATA / "inventory.txt"),
+            "--tasks", "record",
+        ]
+    )
+    assert code == 0
+    lines = (DATA / "inventory.txt").read_text(encoding="utf-8").splitlines()
+    inventory = [line for line in lines if line and not line.startswith("#")]
+    report = analyze([(DATA / "session.trace").read_text(encoding="utf-8")], inventory, ["record"])
+    assert capsys.readouterr().out == render_report(report) + "\n"
+
+
 def test_trace_parse_error_names_file(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text("123 E. broken\n")
@@ -252,6 +268,26 @@ def test_pipeline_missing_config_file_errors(tmp_path, capsys):
 def test_bad_endpoint_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["pipeline", "--endpoint", "no-port-here"])
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1", "\u0661\u0662"])
+def test_out_of_range_ports_rejected(tmp_path, capsys, port):
+    # 70000 used to wrap to 4464 on connect; "١٢" used to be read as 12
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--endpoint", f"127.0.0.1:{port}"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--port", port])
+    config = tmp_path / "run.ini"
+    config.write_text(f"[pipeline]\nendpoint = 127.0.0.1:{port}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config)]) == 2
+    assert "port must be a number from 0 to 65535" in capsys.readouterr().err
+
+
+def test_port_range_ends_accepted():
+    assert _parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert _parse_endpoint("collector:65535") == ("collector", 65535)
+    assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
 
 
 # -- serve -------------------------------------------------------------------

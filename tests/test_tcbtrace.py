@@ -1,5 +1,7 @@
 """Trace parsing, call-graph replay, and exclusion report generation."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from teeguard.tcbtrace import (
     reachable,
     render_events,
     render_report,
+    task_graphs,
 )
 
 NESTED = """\
@@ -92,6 +95,16 @@ def test_bad_timestamp_rejected():
         parse_trace("-5 E foo rec\n")
     with pytest.raises(ParseError):
         parse_trace(f"{1 << 64} E foo rec\n")
+
+
+@pytest.mark.parametrize("stamp", ["\u00b2", "\u0661\u0662"])
+def test_non_ascii_digit_timestamps_rejected(stamp):
+    # "²" used to escape as a bare ValueError from int(); "١٢" was read as 12
+    text = f"{stamp} E f t\n{stamp} X f t\n"
+    for read in (parse_trace, lambda trace: analyze([trace], ["f"])):
+        with pytest.raises(ParseError, match="bad timestamp") as info:
+            read(text)
+        assert info.value.lineno == 1
 
 
 def test_bad_identifier_rejected():
@@ -170,6 +183,44 @@ def test_mismatched_exit_detected_at_build():
         build_callgraph(events)
     with pytest.raises(MismatchedExit, match="<empty>"):
         build_callgraph([TraceEvent(1, Direction.EXIT, "a", "t")])
+
+
+@settings(max_examples=150)
+@given(balanced_trace())
+def test_one_pass_graphs_equal_parse_then_build(text):
+    graphs = task_graphs(text)
+    reference = build_task_graphs(parse_trace(text))
+    assert graphs == reference
+    assert list(graphs) == list(reference)
+
+
+def test_parse_error_beats_an_earlier_mismatched_exit():
+    text = "1 E a t\n2 X b t\n3 X a t\n4 E c t\n5 E c% t\n"
+    for read in (task_graphs, lambda trace: analyze([trace], ["a", "c"])):
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert info.value.lineno == 5
+
+
+def test_unbalanced_beats_a_mismatched_exit():
+    with pytest.raises(UnbalancedTrace, match="never exited a"):
+        analyze(["1 E a t\n2 X b t\n"], ["a"])
+
+
+def test_mismatch_precedence_between_tasks():
+    # t2 mismatches first (line 3), but t1 appears first (line 1)
+    text = "1 E a t1\n2 E b t2\n3 X z t2\n4 X y t1\n5 X b t2\n6 X a t1\n"
+    first_seen = "task 't1' exits 'y' but the stack top is a"
+    for read in (task_graphs, lambda trace: analyze([trace], ["a", "b"])):
+        with pytest.raises(MismatchedExit) as info:
+            read(text)
+        assert str(info.value) == first_seen
+    with pytest.raises(MismatchedExit) as info:
+        build_task_graphs(parse_trace(text))
+    assert str(info.value) == first_seen
+    with pytest.raises(MismatchedExit) as info:
+        build_callgraph(parse_trace(text))
+    assert str(info.value) == "task 't2' exits 'z' but the stack top is b"
 
 
 def test_tasks_do_not_share_stacks():
@@ -320,3 +371,22 @@ def test_merge_graphs_unions_nodes_and_adds_call_counts():
     assert merged["net"] is second["net"]  # a task seen once keeps its graph
     assert merge_graphs([first]) == first
     assert merge_graphs([]) == {}
+
+
+def test_analyze_memory_stays_within_a_few_times_the_text():
+    # 12,500 rounds of four nested calls over four tasks: 100,000 events
+    lines = []
+    for i in range(12_500):
+        calls = [f"fn{(i + depth) % 97}" for depth in range(4)]
+        lines += [f"{i} E {fn} task{i % 4}" for fn in calls]
+        lines += [f"{i} X {fn} task{i % 4}" for fn in reversed(calls)]
+    text = "\n".join(lines) + "\n"
+    inventory = [f"fn{n}" for n in range(100)]
+    tracemalloc.start()
+    try:
+        report = analyze([text], inventory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.required) == 97
+    assert peak < 8 * len(text)
