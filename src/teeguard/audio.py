@@ -1,10 +1,10 @@
 """I2S peripheral model: stereo PCM frames, the serial bitstream codec, and a
 simulated microphone producing utterances with hidden ground-truth payloads.
 
-Bitstream layout, per frame of 2*W clocks (W = word length, only W=16 is
-supported): the word-select line is 0 for the left word window and 1 for the
-right word window.  Data is MSB-first with the standard I2S one-bit delay, so
-each word's MSB appears one clock after the ws transition and its LSB lands on
+Bitstream layout, per frame of 2*W clocks (W = WORD_LENGTH bits): the
+word-select line is 0 for the left word window and 1 for the right word
+window.  Data is MSB-first with the standard I2S one-bit delay, so each
+word's MSB appears one clock after the ws transition and its LSB lands on
 the first clock of the following window.  The right word's LSB therefore
 belongs to the next frame's left window; to keep every frame segment
 self-contained it wraps to clock 0 of its own segment (which the delay leaves
@@ -43,32 +43,8 @@ _BASE_VOCAB = (
 _RESERVED_WORDS = frozenset({"unk"})
 
 
-class UnsupportedWidth(ValueError):
-    """Word lengths other than 16 bits are not supported."""
-
-
 class MalformedStream(ValueError):
     """Bitstream violates the I2S framing rules."""
-
-
-def _require_width(word_length: int) -> None:
-    if word_length != WORD_LENGTH:
-        raise UnsupportedWidth(f"word_length must be {WORD_LENGTH}, got {word_length}")
-
-
-def _check_sample(value: int, channel: str) -> None:
-    if not SAMPLE_MIN <= value <= SAMPLE_MAX:
-        raise ValueError(f"{channel} sample {value} outside [{SAMPLE_MIN}, {SAMPLE_MAX}]")
-
-
-@dataclass(frozen=True)
-class I2sFrame:
-    left: int
-    right: int
-
-    def __post_init__(self) -> None:
-        _check_sample(self.left, "left")
-        _check_sample(self.right, "right")
 
 
 @dataclass
@@ -77,21 +53,6 @@ class I2sBitstream:
 
     ws: np.ndarray
     sd: np.ndarray
-    word_length: int = WORD_LENGTH
-
-    def __len__(self) -> int:
-        return len(self.ws)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.ws.tolist(), self.sd.tolist()))
-
-
-def frames_to_array(frames: list[I2sFrame]) -> np.ndarray:
-    return np.array([(f.left, f.right) for f in frames], dtype=np.int16).reshape(-1, 2)
-
-
-def array_to_frames(samples: np.ndarray) -> list[I2sFrame]:
-    return [I2sFrame(int(l), int(r)) for l, r in samples.tolist()]
 
 
 def _word_bits(values: np.ndarray) -> np.ndarray:
@@ -106,12 +67,11 @@ def _bits_to_words(bits: np.ndarray) -> np.ndarray:
     return packed.view(">u2").astype(np.uint16).view(np.int16).reshape(-1)
 
 
-def encode_frames(samples: np.ndarray, word_length: int = WORD_LENGTH) -> I2sBitstream:
+def encode_frames(samples: np.ndarray) -> I2sBitstream:
     """Serialize (n, 2) int16 stereo samples into an I2S bitstream."""
-    _require_width(word_length)
     samples = np.asarray(samples, dtype=np.int16).reshape(-1, 2)
     n = len(samples)
-    w = word_length
+    w = WORD_LENGTH
     left_bits = _word_bits(samples[:, 0])
     right_bits = _word_bits(samples[:, 1])
     sd = np.zeros((n, 2 * w), dtype=np.uint8)
@@ -119,17 +79,12 @@ def encode_frames(samples: np.ndarray, word_length: int = WORD_LENGTH) -> I2sBit
     sd[:, w + 1 :] = right_bits[:, : w - 1]
     sd[:, 0] = right_bits[:, w - 1]
     ws = np.tile(np.repeat(np.array([0, 1], dtype=np.uint8), w), n)
-    return I2sBitstream(ws=ws, sd=sd.reshape(-1), word_length=w)
+    return I2sBitstream(ws=ws, sd=sd.reshape(-1))
 
 
-def encode_frame(frame: I2sFrame, word_length: int = WORD_LENGTH) -> I2sBitstream:
-    return encode_frames(frames_to_array([frame]), word_length)
-
-
-def decode_bitstream(bits: I2sBitstream, word_length: int = WORD_LENGTH) -> np.ndarray:
+def decode_bitstream(bits: I2sBitstream) -> np.ndarray:
     """Inverse of :func:`encode_frames`; returns (n, 2) int16 samples."""
-    _require_width(word_length)
-    w = word_length
+    w = WORD_LENGTH
     ws = np.asarray(bits.ws, dtype=np.uint8)
     sd = np.asarray(bits.sd, dtype=np.uint8)
     if ws.shape != sd.shape or ws.ndim != 1:
@@ -196,6 +151,14 @@ def filler_vocabulary(config: GeneratorConfig) -> list[str]:
     return vocab[: config.vocab_size]
 
 
+def max_text_bytes(config: GeneratorConfig) -> int:
+    """UTF-8 length of the longest text the generator can produce: max_words
+    filler words plus two keyword inserts, joined by single spaces."""
+    filler = max(len(w.encode("utf-8")) for w in filler_vocabulary(config))
+    keyword = max((len(k.encode("utf-8")) for k in config.keywords), default=0)
+    return config.max_words * (filler + 1) + 2 * (keyword + 1) - 1
+
+
 class _TextSampler:
     def __init__(self, config: GeneratorConfig, rng: np.random.Generator) -> None:
         self.config = config
@@ -208,7 +171,7 @@ class _TextSampler:
         count = int(self.rng.integers(cfg.min_words, cfg.max_words + 1))
         words = [self.filler[int(i)] for i in self.rng.integers(0, len(self.filler), count)]
         if want_sensitive:
-            inserts = 1 + int(self.rng.random() < 0.25)
+            inserts = 1 + int(self.rng.random() < 0.25)  # max_text_bytes relies on <= 2
             for _ in range(inserts):
                 keyword = cfg.keywords[int(self.rng.integers(0, len(cfg.keywords)))]
                 position = int(self.rng.integers(0, len(words) + 1))

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .audio import GeneratorConfig
-from .cloud import BindError, MockCloud
+from .cloud import MockCloud
 from .pipeline import (
     ARCHITECTURE_CHOICES,
     ClassifierConfig,

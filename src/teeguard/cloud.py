@@ -1,9 +1,11 @@
 """A small TCP endpoint standing in for the remote collector.
 
 Each connection carries a stream of relay frames.  Well-formed frames are
-stored and acknowledged; a frame with a bad magic or an absurd length gets a
-negative acknowledgement and the stream is rescanned from the next header,
-so one corrupt frame does not wedge the connection.
+stored and acknowledged.  A frame with a bad magic gets a negative
+acknowledgement and its declared payload is read and thrown away, so nothing
+inside a rejected frame is ever taken for a frame of its own.  A length over
+`MAX_PAYLOAD` gets a negative acknowledgement and the connection is closed,
+because no frame boundary is left to trust.
 """
 
 from __future__ import annotations
@@ -72,9 +74,10 @@ class MockCloud:
                         return
                     magic, sequence, flags, length = FRAME_HEADER.unpack(header)
                     if magic != FRAME_MAGIC or length > MAX_PAYLOAD:
-                        # treat as header-sized garbage: reject, then rescan
                         cloud._record_nak()
                         self.wfile.write(encode_ack(0, ACK_MALFORMED))
+                        if length > MAX_PAYLOAD or _read_exact(self.rfile, length) is None:
+                            return
                         continue
                     payload = _read_exact(self.rfile, length)
                     if payload is None:

@@ -14,13 +14,12 @@ import struct
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import audio, tee
 
 BLOCK_MAGIC = b"TGB1"
 HEADER = struct.Struct("<4sIII")
 FRAME_BYTES = 4  # int16 L + int16 R
+RING_ADDRESS_LIMIT = 1 << 20  # the ring is carved below this address
 
 
 class AllocationError(RuntimeError):
@@ -53,9 +52,6 @@ class EncodedBlock:
     @property
     def payload_length(self) -> int:
         return len(self.payload)
-
-    def samples(self) -> np.ndarray:
-        return np.frombuffer(self.payload, dtype="<i2").reshape(-1, 2)
 
     def to_bytes(self) -> bytes:
         header = HEADER.pack(
@@ -98,36 +94,20 @@ class SecureAudioDriver:
     them as overruns.
     """
 
-    def __init__(
-        self,
-        asc: tee.AddressSpaceController,
-        memory: tee.Memory,
-        capacity: int,
-        region_id: int | None = None,
-        address_limit: int = 1 << 20,
-    ) -> None:
+    def __init__(self, asc: tee.AddressSpaceController, memory: tee.Memory, capacity: int) -> None:
         if capacity <= 0:
             raise AllocationError("capacity must be positive")
         needed = capacity * FRAME_BYTES
-        if region_id is None:
-            try:
-                base = asc.find_free_range(needed, address_limit)
-                region_id = asc.carve_secure_region(base, needed)
-            except (tee.RangeError, tee.OverlapError) as exc:
-                raise AllocationError(f"cannot carve {needed} secure bytes") from exc
-        else:
-            region = asc.region(region_id)
-            if region.owner is not tee.RegionOwner.SECURE_ONLY:
-                raise AllocationError(f"region r{region_id} is not secure-only")
-            if region.length < needed:
-                raise AllocationError(
-                    f"region r{region_id} holds {region.length} bytes, need {needed}"
-                )
+        try:
+            base = asc.find_free_range(needed, RING_ADDRESS_LIMIT)
+            region_id = asc.carve_secure_region(base, needed)
+        except (tee.RangeError, tee.OverlapError) as exc:
+            raise AllocationError(f"cannot carve {needed} secure bytes") from exc
         self.asc = asc
         self.memory = memory
         self.capacity = capacity
         self.region_id = region_id
-        self.buffer_base = asc.region(region_id).base
+        self.buffer_base = base
         self.overrun_count = 0
         self.next_sequence = 0
         self._head = 0  # next slot to read
@@ -144,10 +124,6 @@ class SecureAudioDriver:
     def occupancy(self) -> int:
         with self._lock:
             return self._count
-
-    def free_space(self) -> int:
-        with self._lock:
-            return self.capacity - self._count
 
     def _write_slots(self, start: int, data: bytes) -> None:
         # At most two chunks when the range wraps.

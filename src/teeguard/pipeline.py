@@ -21,6 +21,7 @@ from .audio import (
     encode_frames,
     filler_vocabulary,
     make_labeled_corpus,
+    max_text_bytes,
 )
 from .driver import FRAME_BYTES, HEADER, EncodedBlock, SecureAudioDriver
 from .pta import (
@@ -40,7 +41,6 @@ from .relay import (
     RedactionRecord,
     RelayPacket,
     SecureChannel,
-    Supplicant,
     TcpTransport,
     apply_policy,
     encode_frame,
@@ -60,7 +60,6 @@ from .sense import (
 from .words import Label, keyword_label
 
 ARCHITECTURE_CHOICES = ("oracle", *ARCHITECTURES)
-_ANNEX_HEADROOM = 2048  # output buffer slack for the attached transcript
 
 
 class PipelineError(RuntimeError):
@@ -107,9 +106,15 @@ class PipelineConfig:
             raise ValueError("driver capacity must hold at least one utterance")
         if self.cost_per_switch < 0:
             raise ValueError("cost_per_switch must be non-negative")
-        block_bound = HEADER.size + self.frames_per_utterance * FRAME_BYTES + _ANNEX_HEADROOM
-        if block_bound >= MEMREF_FIELD_LIMIT:
+        if _block_bound(self) >= MEMREF_FIELD_LIMIT:
             raise ValueError("frames_per_utterance too large for one output buffer")
+
+
+def _block_bound(config: PipelineConfig) -> int:
+    """Bytes of the largest block one utterance can produce: its frames and
+    the longest transcript the generator can attach."""
+    frames = config.frames_per_utterance * FRAME_BYTES
+    return HEADER.size + frames + max_text_bytes(config.generator)
 
 
 @dataclass
@@ -192,11 +197,11 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
         driver = SecureAudioDriver(asc, memory, config.capacity)
         bridge = PtaBridge(driver, memory)
         session = bridge.open_session()
-        out_len = HEADER.size + config.frames_per_utterance * FRAME_BYTES + _ANNEX_HEADROOM
+        out_len = _block_bound(config)
         out_base = asc.find_free_range(out_len, 1 << 24)
         out_region = asc.carve_secure_region(out_base, out_len)
         ctx = tee.WorldContext(cost_per_switch=config.cost_per_switch)
-        channel = SecureChannel(Supplicant(transport if transport is not None else TcpTransport()))
+        channel = SecureChannel(transport if transport is not None else TcpTransport())
         channel.connect(config.endpoint)
     except Exception as exc:
         raise PipelineError("setup", exc) from exc

@@ -174,10 +174,6 @@ def decode_response(data: bytes) -> PtaResponse:
         raise WireError(str(exc)) from None
 
 
-def _error(status: PtaStatus) -> PtaResponse:
-    return PtaResponse(status)
-
-
 @dataclass
 class PtaBridge:
     """Dispatches TA commands to the secure driver.  Invokes are serialized:
@@ -188,7 +184,6 @@ class PtaBridge:
     _sessions: set[int] = field(default_factory=set)
     _next_session: int = 1
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _log: list[tuple[bytes, bytes]] | None = None
 
     def open_session(self) -> int:
         with self._lock:
@@ -200,31 +195,19 @@ class PtaBridge:
     def close_session(self, session: int) -> PtaResponse:
         with self._lock:
             if session not in self._sessions:
-                return _error(PtaStatus.BAD_SESSION)
+                return PtaResponse(PtaStatus.BAD_SESSION)
             self._sessions.remove(session)
         return PtaResponse(PtaStatus.OK)
 
-    def session_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
-    def enable_replay_log(self) -> list[tuple[bytes, bytes]]:
-        """Record hex-encodable (command, response) byte pairs for golden tests."""
-        self._log = []
-        return self._log
-
     def invoke(self, cmd: PtaCommand, ctx: tee.WorldContext) -> PtaResponse:
         with self._lock:
-            response = self._dispatch(cmd, ctx)
-            if self._log is not None:
-                self._log.append((encode_command(cmd), encode_response(response)))
-        return response
+            return self._dispatch(cmd, ctx)
 
     def _dispatch(self, cmd: PtaCommand, ctx: tee.WorldContext) -> PtaResponse:
         if ctx.current is not tee.World.SECURE:
-            return _error(PtaStatus.ACCESS_DENIED)
+            return PtaResponse(PtaStatus.ACCESS_DENIED)
         if cmd.session not in self._sessions:
-            return _error(PtaStatus.BAD_SESSION)
+            return PtaResponse(PtaStatus.BAD_SESSION)
         if cmd.cmd_id == CMD_GET_STATUS:
             return PtaResponse(
                 PtaStatus.OK,
@@ -235,29 +218,29 @@ class PtaBridge:
             )
         if cmd.cmd_id == CMD_READ_AUDIO:
             return self._read_audio(cmd, ctx)
-        return _error(PtaStatus.UNKNOWN_COMMAND)
+        return PtaResponse(PtaStatus.UNKNOWN_COMMAND)
 
     def _read_audio(self, cmd: PtaCommand, ctx: tee.WorldContext) -> PtaResponse:
         memref = cmd.params[0]
         count = cmd.params[1]
         if not isinstance(memref, MemRefParam) or not isinstance(count, ValueParam):
-            return _error(PtaStatus.BAD_PARAMETERS)
+            return PtaResponse(PtaStatus.BAD_PARAMETERS)
         n = count.a
         if n == 0:
-            return _error(PtaStatus.BAD_PARAMETERS)
+            return PtaResponse(PtaStatus.BAD_PARAMETERS)
         try:
             region = self.memory.asc.region(memref.region_id)
         except tee.UnmappedAddress:
-            return _error(PtaStatus.BAD_PARAMETERS)
+            return PtaResponse(PtaStatus.BAD_PARAMETERS)
         if memref.offset + memref.length > region.length:
-            return _error(PtaStatus.BAD_PARAMETERS)
+            return PtaResponse(PtaStatus.BAD_PARAMETERS)
         try:
             needed = self.driver.encoded_size(n)
         except Underflow:
-            return _error(PtaStatus.UNDERFLOW)
+            return PtaResponse(PtaStatus.UNDERFLOW)
         if memref.length < needed:
             # Fails before the driver dequeues anything.
-            return _error(PtaStatus.SHORT_BUFFER)
+            return PtaResponse(PtaStatus.SHORT_BUFFER)
         block = self.driver.read_block(n, tee.World.SECURE, ctx)
         data = block.to_bytes()
         self.memory.write(tee.World.SECURE, region.base + memref.offset, data)

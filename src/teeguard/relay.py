@@ -1,9 +1,10 @@
 """Policy filtering and the outbound relay.
 
-The trusted side never touches a socket.  It frames payloads, hands them to a
-normal-world supplicant over an RPC boundary, and books exactly one world
-switch in each direction per send, whatever the transport does.  Dropped
-payloads never reach the supplicant at all.
+The trusted side never touches a socket.  `SecureChannel` frames a payload,
+switches to the normal world, hands the frame to the transport (the
+normal-world side, which owns the socket), and switches back: exactly one
+world switch in each direction per send, whatever the transport does.
+Dropped payloads never reach the transport at all.
 """
 
 from __future__ import annotations
@@ -137,21 +138,8 @@ def apply_policy(policy: FilterPolicy, label: Label, text: str) -> FilterDecisio
 
 
 # ---------------------------------------------------------------------------
-# Normal-world supplicant and its transports
+# Normal-world transports
 # ---------------------------------------------------------------------------
-
-
-class SupplicantOp(Enum):
-    CONNECT = "connect"
-    SEND = "send"
-    CLOSE = "close"
-
-
-@dataclass(frozen=True)
-class SupplicantRequest:
-    op: SupplicantOp
-    endpoint: tuple[str, int] | None = None
-    payload: bytes = b""
 
 
 class TcpTransport:
@@ -217,24 +205,6 @@ class RecordingTransport:
         self.connected = False
 
 
-class Supplicant:
-    """Normal-world RPC agent owning the transport on the relay's behalf."""
-
-    def __init__(self, transport):
-        self._transport = transport
-
-    def handle(self, request: SupplicantRequest) -> bytes:
-        if request.op is SupplicantOp.CONNECT:
-            if request.endpoint is None:
-                raise ConnectError("connect request without an endpoint")
-            self._transport.connect(request.endpoint)
-            return b""
-        if request.op is SupplicantOp.SEND:
-            return self._transport.exchange(request.payload)
-        self._transport.close()
-        return b""
-
-
 # ---------------------------------------------------------------------------
 # Secure-world channel
 # ---------------------------------------------------------------------------
@@ -247,23 +217,19 @@ class SecureChannel:
     normal world, so only `send` touches the switch counters.
     """
 
-    def __init__(self, supplicant: Supplicant):
-        self._supplicant = supplicant
+    def __init__(self, transport):
+        self._transport = transport
         self._connected = False
         self._next_sequence = 0
         self._lock = threading.Lock()
 
-    @property
-    def connected(self) -> bool:
-        return self._connected
-
     def connect(self, endpoint: tuple[str, int]) -> None:
-        self._supplicant.handle(SupplicantRequest(SupplicantOp.CONNECT, endpoint=endpoint))
+        self._transport.connect(endpoint)
         self._connected = True
 
     def close(self) -> None:
         if self._connected:
-            self._supplicant.handle(SupplicantRequest(SupplicantOp.CLOSE))
+            self._transport.close()
             self._connected = False
 
     def next_sequence(self) -> int:
@@ -279,16 +245,15 @@ class SecureChannel:
         """Relay one frame and return the peer's status code.
 
         Costs exactly two world switches: out to the normal world for the
-        RPC, back to the secure world afterwards, error or not.
+        transport's exchange, back to the secure world afterwards, error or
+        not.
         """
         if not self._connected:
             raise NotConnected("channel has no open connection")
         frame = encode_frame(packet)
         ctx.world_switch(World.NORMAL)
         try:
-            raw = self._supplicant.handle(
-                SupplicantRequest(SupplicantOp.SEND, payload=frame)
-            )
+            raw = self._transport.exchange(frame)
             try:
                 sequence, status = decode_ack(raw)
             except FrameError as exc:

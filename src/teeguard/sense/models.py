@@ -294,22 +294,11 @@ def min_length(model: Model) -> int:
     return model.min_len
 
 
-def _one_row(model: Model, tokens: Sequence[int]) -> np.ndarray:
-    """`tokens` padded with unknown tokens to `model.min_len`, checked against
-    the vocabulary, as a batch of one row."""
+def score(model: Model, tokens: Sequence[int]) -> float:
+    """Sensitivity score in [0, 1] for one token sequence, padded with unknown
+    tokens to `model.min_len` and checked against the vocabulary."""
     padded = pad_tokens(tokens, model.min_len)
     if any(t < 0 or t >= model.vocab_size for t in padded):
         raise ValueError(f"token index outside [0, {model.vocab_size})")
-    return np.array([padded])
-
-
-def score(model: Model, tokens: Sequence[int]) -> float:
-    """Sensitivity score in [0, 1] for one token sequence."""
-    logits, _ = model.forward(_one_row(model, tokens))
+    logits, _ = model.forward(np.array([padded]))
     return float(sigmoid(logits)[0])
-
-
-def attention_weights(encoder: AttentionEncoder, tokens: Sequence[int]) -> np.ndarray:
-    """Post-softmax attention matrix for one input (rows sum to 1)."""
-    _, cache = encoder._attend(encoder.embedding[_one_row(encoder, tokens)])
-    return cache["attn"][0]

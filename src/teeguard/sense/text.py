@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 from ..driver import EncodedBlock
 from ..words import split_words
@@ -38,16 +37,6 @@ class Vocab:
     def size(self) -> int:
         return len(self.index) + 1
 
-    @cached_property
-    def _reverse(self) -> tuple[str, ...]:
-        ordered = [UNKNOWN_WORD] * self.size
-        for word, i in self.index.items():
-            ordered[i] = word
-        return tuple(ordered)
-
-    def word_for(self, idx: int) -> str:
-        return self._reverse[idx]
-
     @classmethod
     def from_texts(cls, texts: Iterable[str], max_size: int | None = None) -> "Vocab":
         counts: dict[str, int] = {}
@@ -64,10 +53,6 @@ class Vocab:
 def tokenize(text: str, vocab: Vocab) -> list[int]:
     """Lowercase, split on non-alphanumeric runs, map via vocab (unknown -> 0)."""
     return [vocab.index.get(word, UNKNOWN_INDEX) for word in split_words(text)]
-
-
-def detokenize(tokens: Sequence[int], vocab: Vocab) -> str:
-    return " ".join(vocab.word_for(t) for t in tokens)
 
 
 @dataclass(frozen=True)

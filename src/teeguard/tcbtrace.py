@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 TIMESTAMP_LIMIT = 1 << 64
+_TIMESTAMP_DIGITS = len(str(TIMESTAMP_LIMIT - 1))  # 20
 DIRECTIVE_PREFIX = "CFG_EXCL_"
 
 _IDENTIFIER = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -87,7 +88,11 @@ def _scan(text: str) -> Iterator[_Row]:
         ts_text, dir_text, function, task = fields
         if not (ts_text.isascii() and ts_text.isdigit()):
             raise ParseError(lineno, f"bad timestamp {ts_text!r}")
-        timestamp = int(ts_text)
+        try:
+            timestamp = int(ts_text)
+        except ValueError:  # over int()'s 4,300-digit limit, leading zeros included
+            ts_text = ts_text.lstrip("0") or "0"
+            timestamp = int(ts_text) if len(ts_text) <= _TIMESTAMP_DIGITS else TIMESTAMP_LIMIT
         if timestamp >= TIMESTAMP_LIMIT:
             raise ParseError(lineno, "timestamp outside u64 range")
         direction = _DIRECTIONS.get(dir_text)
@@ -149,12 +154,6 @@ def parse_trace(text: str) -> list[TraceEvent]:
     return [TraceEvent(*row) for row in rows]
 
 
-def render_events(events: Iterable[TraceEvent]) -> str:
-    return "\n".join(
-        f"{e.timestamp} {e.direction.value} {e.function} {e.task}" for e in events
-    )
-
-
 @dataclass(frozen=True)
 class CallGraph:
     nodes: frozenset[str]
@@ -186,16 +185,6 @@ def task_graphs(text: str) -> dict[str, CallGraph]:
     tasks, mismatches = _replay(_scan(text))
     _check_balance(tasks)
     return _task_graphs(tasks, mismatches)
-
-
-def build_callgraph(events: Iterable[TraceEvent]) -> CallGraph:
-    """Replay the per-task stacks and merge every task into one graph; the
-    first mismatched exit met raises."""
-    tasks, mismatches = _replay((e.timestamp, e.direction, e.function, e.task) for e in events)
-    if mismatches:
-        raise MismatchedExit(next(iter(mismatches.values())))
-    merged = merge_graphs({"": graph} for graph in _task_graphs(tasks, {}).values())
-    return merged.get("", CallGraph(frozenset(), {}, frozenset()))
 
 
 def build_task_graphs(events: Iterable[TraceEvent]) -> dict[str, CallGraph]:

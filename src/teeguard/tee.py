@@ -125,12 +125,6 @@ class AddressSpaceController:
         self._regions[region_id] = MemoryRegion(region_id, base, length, owner)
         return region_id
 
-    def owner_at(self, address: int) -> RegionOwner:
-        for region in self._regions.values():
-            if region.base <= address < region.end:
-                return region.owner
-        return RegionOwner.NORMAL_ONLY
-
     def find_free_range(self, length: int, limit: int) -> int:
         """First-fit base address for `length` bytes below `limit`, or RangeError."""
         _check_range(0, length)

@@ -10,18 +10,14 @@ from teeguard.audio import (
     SAMPLE_MIN,
     WORD_LENGTH,
     GeneratorConfig,
-    I2sFrame,
     MalformedStream,
     MicrophoneSource,
-    UnsupportedWidth,
     Utterance,
-    array_to_frames,
     decode_bitstream,
-    encode_frame,
     encode_frames,
     filler_vocabulary,
-    frames_to_array,
     make_labeled_corpus,
+    max_text_bytes,
 )
 from teeguard.words import Label
 
@@ -32,26 +28,27 @@ samples_st = st.integers(SAMPLE_MIN, SAMPLE_MAX)
 
 
 def test_silence_frame_layout():
-    bits = encode_frame(I2sFrame(0, 0))
-    assert len(bits) == 2 * WORD_LENGTH
-    assert bits.pairs() == [(0, 0)] * 16 + [(1, 0)] * 16
+    bits = encode_frames(np.array([[0, 0]], dtype=np.int16))
+    assert len(bits.ws) == 2 * WORD_LENGTH
+    assert list(zip(bits.ws.tolist(), bits.sd.tolist())) == [(0, 0)] * 16 + [(1, 0)] * 16
 
 
 def test_left_lsb_lands_on_right_window_first_clock():
     # MSB-first with one-clock delay: left bit 0 is emitted at clock 16
-    bits = encode_frame(I2sFrame(1, 0))
+    bits = encode_frames(np.array([[1, 0]], dtype=np.int16))
     assert bits.sd.tolist() == [0] * 16 + [1] + [0] * 15
 
 
 def test_right_lsb_wraps_to_clock_zero():
-    bits = encode_frame(I2sFrame(0, 1))
+    bits = encode_frames(np.array([[0, 1]], dtype=np.int16))
     sd = bits.sd.tolist()
     assert sd[0] == 1
     assert sd[1:] == [0] * 31
 
 
 def test_left_msb_at_clock_one():
-    bits = encode_frame(I2sFrame(SAMPLE_MIN, 0))  # 0x8000: only the sign bit
+    # 0x8000: only the sign bit
+    bits = encode_frames(np.array([[SAMPLE_MIN, 0]], dtype=np.int16))
     sd = bits.sd.tolist()
     assert sd[1] == 1
     assert sum(sd) == 1
@@ -65,7 +62,7 @@ def test_ws_alternates_every_word():
 def test_stream_length_scales_with_frame_count():
     for n in (1, 2, 7, 160):
         stream = encode_frames(np.zeros((n, 2), dtype=np.int16))
-        assert len(stream) == n * 2 * WORD_LENGTH
+        assert len(stream.ws) == n * 2 * WORD_LENGTH
 
 
 # -- round trips and corners ------------------------------------------------
@@ -74,7 +71,7 @@ def test_stream_length_scales_with_frame_count():
 @pytest.mark.parametrize("left", [SAMPLE_MIN, -1, 0, 1, SAMPLE_MAX])
 @pytest.mark.parametrize("right", [SAMPLE_MIN, -1, 0, 1, SAMPLE_MAX])
 def test_corner_samples_round_trip(left, right):
-    decoded = decode_bitstream(encode_frame(I2sFrame(left, right)))
+    decoded = decode_bitstream(encode_frames(np.array([[left, right]], dtype=np.int16)))
     assert decoded.tolist() == [[left, right]]
 
 
@@ -91,23 +88,11 @@ def test_empty_stream_decodes_to_no_frames():
     assert decode_bitstream(bits).shape == (0, 2)
 
 
-def test_frame_array_helpers_round_trip():
-    frames = [I2sFrame(5, -7), I2sFrame(SAMPLE_MAX, SAMPLE_MIN)]
-    assert array_to_frames(frames_to_array(frames)) == frames
-
-
 # -- framing rejections -----------------------------------------------------
 
 
-def test_unsupported_word_length():
-    with pytest.raises(UnsupportedWidth):
-        encode_frames(np.zeros((1, 2), dtype=np.int16), word_length=24)
-    with pytest.raises(UnsupportedWidth):
-        decode_bitstream(encode_frame(I2sFrame(0, 0)), word_length=8)
-
-
 def test_truncated_stream_rejected():
-    bits = encode_frame(I2sFrame(123, -456))
+    bits = encode_frames(np.array([[123, -456]], dtype=np.int16))
     bits.ws = bits.ws[:-1]
     bits.sd = bits.sd[:-1]
     with pytest.raises(MalformedStream):
@@ -117,7 +102,7 @@ def test_truncated_stream_rejected():
 def test_short_ws_run_rejected():
     # 15-clock low run: splice one clock out of the left window
     bits = encode_frames(np.zeros((2, 2), dtype=np.int16))
-    keep = np.ones(len(bits), dtype=bool)
+    keep = np.ones(len(bits.ws), dtype=bool)
     keep[3] = False
     bits.ws = np.append(bits.ws[keep], 1).astype(np.uint8)
     bits.sd = np.append(bits.sd[keep], 0).astype(np.uint8)
@@ -126,14 +111,14 @@ def test_short_ws_run_rejected():
 
 
 def test_inverted_ws_rejected():
-    bits = encode_frame(I2sFrame(0, 0))
+    bits = encode_frames(np.array([[0, 0]], dtype=np.int16))
     bits.ws = 1 - bits.ws
     with pytest.raises(MalformedStream):
         decode_bitstream(bits)
 
 
 def test_non_binary_values_rejected():
-    bits = encode_frame(I2sFrame(0, 0))
+    bits = encode_frames(np.array([[0, 0]], dtype=np.int16))
     bits.sd = bits.sd.copy()
     bits.sd[5] = 2
     with pytest.raises(MalformedStream):
@@ -141,7 +126,7 @@ def test_non_binary_values_rejected():
 
 
 def test_mismatched_line_lengths_rejected():
-    bits = encode_frame(I2sFrame(0, 0))
+    bits = encode_frames(np.array([[0, 0]], dtype=np.int16))
     bits.ws = bits.ws[:-2]
     with pytest.raises(MalformedStream):
         decode_bitstream(bits)
@@ -154,20 +139,13 @@ def test_mismatched_line_lengths_rejected():
 )
 def test_truncation_never_accepted(pairs, data):
     bits = encode_frames(np.array(pairs, dtype=np.int16))
-    cut = data.draw(st.integers(1, len(bits) - 1))
+    cut = data.draw(st.integers(1, len(bits.ws) - 1))
     bits.ws = bits.ws[:-cut]
     bits.sd = bits.sd[:-cut]
     if len(bits.ws) % (2 * WORD_LENGTH) == 0:
         return  # dropped a whole number of frames; stream is still well formed
     with pytest.raises(MalformedStream):
         decode_bitstream(bits)
-
-
-def test_sample_range_enforced():
-    with pytest.raises(ValueError):
-        I2sFrame(SAMPLE_MAX + 1, 0)
-    with pytest.raises(ValueError):
-        I2sFrame(0, SAMPLE_MIN - 1)
 
 
 # -- microphone and corpus generation ----------------------------------------
@@ -230,6 +208,16 @@ def test_word_counts_respect_bounds():
         count = len(text.split())
         # up to two keywords may be inserted on top of the filler words
         assert 4 <= count <= 12
+
+
+def test_max_text_bytes_bounds_every_text():
+    config = GeneratorConfig(
+        keywords=("cl\u00e9", "pin"), sensitivity=1.0, vocab_size=5, min_words=3, max_words=3
+    )
+    bound = max_text_bytes(config)
+    assert bound == 3 * len("lights ") + 2 * len("cl\u00e9 ".encode("utf-8")) - 1
+    sizes = [len(text.encode("utf-8")) for text, _ in make_labeled_corpus(config, 2, 2000)]
+    assert max(sizes) <= bound
 
 
 def test_filler_vocabulary_excludes_keywords():

@@ -10,10 +10,10 @@ from teeguard.cloud import BindError, MockCloud
 from teeguard.relay import (
     ACK_MALFORMED,
     ACK_OK,
+    FRAME_HEADER,
     ConnectError,
     RelayPacket,
     SecureChannel,
-    Supplicant,
     TcpTransport,
     decode_ack,
     encode_frame,
@@ -22,7 +22,7 @@ from teeguard.tee import World, WorldContext
 
 
 def open_channel(cloud):
-    channel = SecureChannel(Supplicant(TcpTransport()))
+    channel = SecureChannel(TcpTransport())
     channel.connect(cloud.address)
     return channel
 
@@ -61,11 +61,25 @@ def test_nak_then_recovery_on_same_connection():
         assert [p.payload for p in cloud.received()] == [b"after the junk"]
 
 
-def test_oversize_length_rejected():
+def test_bad_magic_frame_is_skipped_whole():
+    # the bad frame's payload is a well-formed frame that must not be stored
+    inner = encode_frame(RelayPacket(7, 0, b"smuggled"))
+    wrapper = FRAME_HEADER.pack(b"XXXX", 0, 0, len(inner)) + inner
     with MockCloud() as cloud:
         with socket.create_connection(cloud.address) as sock:
+            assert raw_exchange(sock, wrapper) == (0, ACK_MALFORMED)
+            good = encode_frame(RelayPacket(8, 0, b"after the wrapper"))
+            assert raw_exchange(sock, good) == (8, ACK_OK)
+        assert cloud.nak_count == 1
+        assert [p.payload for p in cloud.received()] == [b"after the wrapper"]
+
+
+def test_oversize_length_rejected():
+    with MockCloud() as cloud:
+        with socket.create_connection(cloud.address, timeout=5.0) as sock:
             huge = encode_frame(RelayPacket(0, 0, b""))[:-4] + (1 << 21).to_bytes(4, "little")
             assert raw_exchange(sock, huge)[1] == ACK_MALFORMED
+            assert sock.recv(12) == b""  # no frame boundary left: the peer hangs up
         assert cloud.received() == []
 
 
@@ -117,7 +131,7 @@ def test_connect_to_unbound_port_fails():
     cloud.start()
     _, port = cloud.address
     cloud.stop()
-    channel = SecureChannel(Supplicant(TcpTransport(timeout=2.0)))
+    channel = SecureChannel(TcpTransport(timeout=2.0))
     with pytest.raises(ConnectError):
         channel.connect(("127.0.0.1", port))
 

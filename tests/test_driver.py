@@ -16,16 +16,17 @@ from teeguard.driver import (
     AccessDenied,
     AllocationError,
     EncodedBlock,
+    RING_ADDRESS_LIMIT,
     MalformedBlock,
     SecureAudioDriver,
     Underflow,
 )
 
 
-def make_driver(capacity=256, **kwargs):
+def make_driver(capacity=256):
     asc = tee.AddressSpaceController()
     memory = tee.Memory(asc)
-    driver = SecureAudioDriver(asc, memory, capacity, **kwargs)
+    driver = SecureAudioDriver(asc, memory, capacity)
     ctx = tee.WorldContext(current=tee.World.SECURE)
     return asc, memory, ctx, driver
 
@@ -48,30 +49,6 @@ def test_driver_carves_its_own_buffer():
     assert asc.check_access(tee.World.NORMAL, base, length) is tee.Decision.DENY
 
 
-def test_driver_accepts_existing_secure_region():
-    asc = tee.AddressSpaceController()
-    memory = tee.Memory(asc)
-    rid = asc.carve_secure_region(0x10000, 0x10000)  # 64 KiB
-    driver = SecureAudioDriver(asc, memory, 256, region_id=rid)
-    assert driver.buffer_range[0] == 0x10000
-
-
-def test_capacity_exceeding_region_rejected():
-    asc = tee.AddressSpaceController()
-    memory = tee.Memory(asc)
-    rid = asc.carve_secure_region(0x10000, 0x100)  # room for 64 frames
-    with pytest.raises(AllocationError):
-        SecureAudioDriver(asc, memory, 65, region_id=rid)
-
-
-def test_non_secure_region_rejected():
-    asc = tee.AddressSpaceController()
-    memory = tee.Memory(asc)
-    rid = asc.map_region(0x10000, 0x10000, tee.RegionOwner.SHARED)
-    with pytest.raises(AllocationError):
-        SecureAudioDriver(asc, memory, 16, region_id=rid)
-
-
 def test_nonpositive_capacity_rejected():
     asc = tee.AddressSpaceController()
     with pytest.raises(AllocationError):
@@ -80,9 +57,9 @@ def test_nonpositive_capacity_rejected():
 
 def test_no_free_space_below_limit_rejected():
     asc = tee.AddressSpaceController()
-    asc.carve_secure_region(0, 0x1000)
+    asc.carve_secure_region(0, RING_ADDRESS_LIMIT)
     with pytest.raises(AllocationError):
-        SecureAudioDriver(asc, tee.Memory(asc), 256, address_limit=0x1000)
+        SecureAudioDriver(asc, tee.Memory(asc), 256)
 
 
 # -- ingestion and overrun policy ---------------------------------------------
@@ -92,7 +69,7 @@ def test_ingest_fills_occupancy():
     _, _, _, driver = make_driver()
     assert driver.ingest(tagged_stream(0, 10)) == 10
     assert driver.occupancy() == 10
-    assert driver.free_space() == 246
+    assert driver.capacity - driver.occupancy() == 246
     assert driver.overrun_count == 0
 
 
@@ -104,7 +81,7 @@ def test_overflow_rejects_newest_frames():
     assert driver.overrun_count == 44
     # the survivors are the oldest 256 frames
     block = driver.read_block(256, tee.World.SECURE, ctx)
-    assert block.samples()[:, 0].tolist() == list(range(256))
+    assert np.frombuffer(block.payload, dtype="<i2")[::2].tolist() == list(range(256))
 
 
 def test_empty_stream_changes_nothing():
@@ -172,7 +149,7 @@ def test_reads_preserve_fifo_order():
     driver.read_block(24, tee.World.SECURE, ctx)
     driver.ingest(tagged_stream(40, 40))  # wraps around the ring
     out = driver.read_block(56, tee.World.SECURE, ctx)
-    assert out.samples()[:, 0].tolist() == list(range(24, 80))
+    assert np.frombuffer(out.payload, dtype="<i2")[::2].tolist() == list(range(24, 80))
 
 
 def test_underflow_reported():
@@ -199,7 +176,7 @@ def test_interleaved_ops_keep_exact_accounting(chunks, data):
         if held and data.draw(st.booleans()):
             take = data.draw(st.integers(1, held))
             block = driver.read_block(take, tee.World.SECURE, ctx)
-            tags = block.samples()[:, 0].tolist()
+            tags = np.frombuffer(block.payload, dtype="<i2")[::2].tolist()
             assert tags == list(range(expected_next, expected_next + take))
             expected_next += take
             held -= take
@@ -215,7 +192,7 @@ def test_concurrent_producer_consumer():
         sent = 0
         while sent < total:
             n = min(10, total - sent)
-            if driver.free_space() < n:
+            if driver.capacity - driver.occupancy() < n:
                 continue
             assert driver.ingest(tagged_stream(sent, n)) == n
             sent += n
@@ -226,7 +203,7 @@ def test_concurrent_producer_consumer():
             if take == 0:
                 continue
             block = driver.read_block(take, tee.World.SECURE, ctx)
-            out.extend(int(v) for v in block.samples()[:, 0])
+            out.extend(int(v) for v in np.frombuffer(block.payload, dtype="<i2")[::2])
 
     producer = threading.Thread(target=produce)
     consumer = threading.Thread(target=consume)

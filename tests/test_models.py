@@ -12,7 +12,6 @@ from teeguard.sense.models import (
     AttentionEncoder,
     CnnModel,
     HybridModel,
-    attention_weights,
     init_attention,
     init_cnn,
     init_hybrid,
@@ -204,7 +203,8 @@ def test_batched_forward_equals_single_scores(init, dims):
 
 def test_attention_rows_sum_to_one():
     encoder = init_attention(12, 6, np.random.default_rng(9))
-    weights = attention_weights(encoder, [3, 1, 4, 1, 5])
+    _, cache = encoder.forward(np.array([[3, 1, 4, 1, 5]]))
+    weights = cache["attn"][0]
     assert weights.shape == (5, 5)
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
     assert (weights >= 0.0).all()

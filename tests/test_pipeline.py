@@ -1,5 +1,6 @@
 """Whole-pipeline runs: leak freedom, switch accounting, determinism."""
 
+import hashlib
 import threading
 
 import pytest
@@ -119,6 +120,25 @@ def test_runs_are_reproducible():
     assert a.log.render() == b.log.render()
 
 
+# sha256 of the length-prefixed sent payloads then log.render(), seed 3,
+# 50 utterances, oracle classifier; pinned so refactors change no byte.
+GOLDEN_DIGESTS = {
+    FilterAction.DROP: "5bb4385a648c79c9cb4785720755ae6adbdc05250b293cecad25844636f6dc2b",
+    FilterAction.MASK: "0dc715fb6a81db6685ba92d706b6fdeaca2c56adedab8df0ceeb9eb3820f092a",
+}
+
+
+@pytest.mark.parametrize("action", list(GOLDEN_DIGESTS), ids=lambda a: a.value)
+def test_output_matches_golden_digest(action):
+    config = PipelineConfig(seed=3, utterances=50, policy=FilterPolicy(action=action))
+    result = run_pipeline(config, transport=RecordingTransport())
+    digest = hashlib.sha256()
+    for payload in result.sent_payloads:
+        digest.update(len(payload).to_bytes(4, "little") + payload)
+    digest.update(result.log.render().encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_DIGESTS[action]
+
+
 def test_log_covers_every_utterance():
     result = run_pipeline(
         PipelineConfig(seed=2, utterances=30), transport=RecordingTransport()
@@ -170,6 +190,13 @@ def test_loaded_model_matches_in_process_training(tmp_path):
     )
     assert loaded.log.render() == trained.log.render()
     assert loaded.sent_payloads == trained.sent_payloads
+
+
+def test_longest_transcripts_fit_the_output_buffer():
+    generator = GeneratorConfig(min_words=300, max_words=400)
+    config = PipelineConfig(seed=6, utterances=20, generator=generator)
+    result = run_pipeline(config, transport=RecordingTransport())
+    assert result.metrics.processed == 20
 
 
 def test_ring_smaller_than_run_still_drains():
@@ -279,6 +306,8 @@ def test_config_validation():
         PipelineConfig(cost_per_switch=-1)
     with pytest.raises(ValueError):
         PipelineConfig(frames_per_utterance=40000, capacity=40000)
+    with pytest.raises(ValueError):  # transcripts alone could overflow the buffer
+        PipelineConfig(generator=GeneratorConfig(min_words=1, max_words=6000))
 
 
 def test_classifier_config_validation():

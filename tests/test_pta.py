@@ -71,17 +71,19 @@ def test_sessions_are_distinct_and_nonzero():
 
 
 def test_many_sessions_counted():
-    _, _, bridge, _, _ = make_bridge()
+    _, _, bridge, _, ctx = make_bridge()
     opened = {bridge.open_session() for _ in range(1000)}
     assert len(opened) == 1000
-    assert bridge.session_count() == 1000
+    for session in opened:
+        assert bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx).status is PtaStatus.OK
 
 
 def test_close_removes_only_that_session():
-    _, _, bridge, _, _ = make_bridge()
+    _, _, bridge, _, ctx = make_bridge()
     sessions = [bridge.open_session() for _ in range(3)]
     assert bridge.close_session(sessions[1]).status is PtaStatus.OK
-    assert bridge.session_count() == 2
+    statuses = [bridge.invoke(PtaCommand(s, CMD_GET_STATUS), ctx).status for s in sessions]
+    assert statuses == [PtaStatus.OK, PtaStatus.BAD_SESSION, PtaStatus.OK]
 
 
 def test_closed_session_rejected():
@@ -162,7 +164,7 @@ def test_read_audio_delivers_block():
     block = EncodedBlock.from_bytes(memory.read(tee.World.SECURE, base, delivered.b))
     assert block.frame_count == 20
     assert block.attached_text == "open the door"
-    assert block.samples()[:, 0].tolist() == list(range(20))
+    assert np.frombuffer(block.payload, dtype="<i2")[::2].tolist() == list(range(20))
 
 
 def test_read_audio_respects_offset():
@@ -237,21 +239,6 @@ def test_error_responses_carry_no_out_params():
     ):
         assert resp.status is not PtaStatus.OK
         assert all(isinstance(p, NoneParam) for p in resp.params)
-
-
-def test_replay_log_captures_wire_pairs():
-    _, driver, bridge, out_region, ctx = make_bridge()
-    feed(driver, 10)
-    log = bridge.enable_replay_log()
-    session = bridge.open_session()
-    bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
-    bridge.invoke(read_audio_cmd(session, out_region, 4096, 10), ctx)
-    assert len(log) == 2
-    for raw_cmd, raw_resp in log:
-        assert len(raw_cmd) == COMMAND_BYTES
-        assert len(raw_resp) == RESPONSE_BYTES
-        assert encode_command(decode_command(raw_cmd)) == raw_cmd
-        assert encode_response(decode_response(raw_resp)) == raw_resp
 
 
 # -- wire format ---------------------------------------------------------------

@@ -20,7 +20,6 @@ from teeguard.relay import (
     RedactionRecord,
     RelayPacket,
     SecureChannel,
-    Supplicant,
     TransportError,
     apply_policy,
     decode_ack,
@@ -41,7 +40,7 @@ packet_st = st.builds(
 
 def make_channel():
     transport = RecordingTransport()
-    channel = SecureChannel(Supplicant(transport))
+    channel = SecureChannel(transport)
     channel.connect(("test", 0))
     ctx = WorldContext(current=World.SECURE)
     return transport, channel, ctx
@@ -166,7 +165,7 @@ def test_n_sends_cost_exactly_2n_switches():
 
 def test_connect_and_close_cost_nothing():
     transport = RecordingTransport()
-    channel = SecureChannel(Supplicant(transport))
+    channel = SecureChannel(transport)
     ctx = WorldContext(current=World.SECURE)
     channel.connect(("host", 1))
     channel.close()
@@ -175,7 +174,7 @@ def test_connect_and_close_cost_nothing():
 
 
 def test_unconnected_send_costs_nothing():
-    channel = SecureChannel(Supplicant(RecordingTransport()))
+    channel = SecureChannel(RecordingTransport())
     ctx = WorldContext(current=World.SECURE)
     with pytest.raises(NotConnected):
         channel.send(RelayPacket(0, 0, b""), ctx)
@@ -208,7 +207,7 @@ def test_mismatched_ack_sequence_detected():
             return encode_ack(999, ACK_OK)
 
     transport = LyingTransport()
-    channel = SecureChannel(Supplicant(transport))
+    channel = SecureChannel(transport)
     channel.connect(("t", 0))
     ctx = WorldContext(current=World.SECURE)
     with pytest.raises(TransportError):

@@ -16,7 +16,6 @@ from teeguard.tcbtrace import (
     UnknownFunction,
     UnknownTask,
     analyze,
-    build_callgraph,
     build_task_graphs,
     directive_for,
     emit_report,
@@ -24,7 +23,6 @@ from teeguard.tcbtrace import (
     minimal_set,
     parse_trace,
     reachable,
-    render_events,
     render_report,
     task_graphs,
 )
@@ -107,6 +105,19 @@ def test_non_ascii_digit_timestamps_rejected(stamp):
         assert info.value.lineno == 1
 
 
+def test_huge_timestamps_rejected_before_conversion():
+    # int() refuses strings over 4,300 digits with a bare ValueError
+    huge = "1" + "0" * 5000 + " E f t\n"
+    for read in (parse_trace, lambda trace: analyze([trace], ["f"])):
+        with pytest.raises(ParseError, match="outside u64 range") as info:
+            read(huge)
+        assert info.value.lineno == 1
+    padded = "0" * 5000 + "1 E f t\n2 X f t\n"
+    assert parse_trace(padded)[0].timestamp == 1
+    assert analyze([padded], ["f"]).required == {"f"}
+    assert parse_trace("0" * 5000 + " E f t\n0 X f t\n")[0].timestamp == 0
+
+
 def test_bad_identifier_rejected():
     with pytest.raises(ParseError, match="identifier"):
         parse_trace("1 E f%o rec\n")
@@ -135,43 +146,41 @@ def test_empty_trace_parses_to_nothing():
 @given(balanced_trace())
 def test_parse_render_identity(text):
     events = parse_trace(text)
-    assert render_events(events).splitlines() == [
-        " ".join(line.split()) for line in text.splitlines() if line.strip()
-    ]
-    assert parse_trace(render_events(events)) == events
+    rendered = [f"{e.timestamp} {e.direction.value} {e.function} {e.task}" for e in events]
+    assert rendered == [" ".join(line.split()) for line in text.splitlines() if line.strip()]
+    assert parse_trace("\n".join(rendered)) == events
 
 
 # -- graph building -----------------------------------------------------------
 
 
 def test_nested_calls_build_chain():
-    graph = build_callgraph(parse_trace(NESTED))
+    graph = task_graphs(NESTED)["main"]
     assert graph.nodes == {"a", "b", "c"}
     assert graph.edges == {("a", "b"): 1, ("b", "c"): 1}
     assert graph.roots == {"a"}
 
 
 def test_sibling_roots():
-    graph = build_callgraph(parse_trace("1 E a t\n2 X a t\n3 E b t\n4 X b t\n"))
+    graph = task_graphs("1 E a t\n2 X a t\n3 E b t\n4 X b t\n")["t"]
     assert graph.roots == {"a", "b"}
     assert graph.edges == {}
 
 
 def test_empty_graph():
-    graph = build_callgraph([])
-    assert graph.nodes == frozenset()
-    assert graph.roots == frozenset()
+    assert task_graphs("") == {}
+    assert build_task_graphs([]) == {}
 
 
 def test_repeated_calls_are_counted():
     text = "1 E a t\n2 E b t\n3 X b t\n4 E b t\n5 X b t\n6 X a t\n"
-    graph = build_callgraph(parse_trace(text))
+    graph = task_graphs(text)["t"]
     assert graph.edges == {("a", "b"): 2}
 
 
 def test_recursion_builds_self_edge():
     text = "1 E a t\n2 E a t\n3 X a t\n4 X a t\n"
-    graph = build_callgraph(parse_trace(text))
+    graph = task_graphs(text)["t"]
     assert graph.edges == {("a", "a"): 1}
     assert graph.roots == {"a"}
 
@@ -180,9 +189,9 @@ def test_mismatched_exit_detected_at_build():
     # parsing tolerates the stray exit; replay must not
     events = parse_trace("1 E a t\n2 X b t\n3 X a t\n")
     with pytest.raises(MismatchedExit, match="'b'"):
-        build_callgraph(events)
+        build_task_graphs(events)
     with pytest.raises(MismatchedExit, match="<empty>"):
-        build_callgraph([TraceEvent(1, Direction.EXIT, "a", "t")])
+        build_task_graphs([TraceEvent(1, Direction.EXIT, "a", "t")])
 
 
 @settings(max_examples=150)
@@ -218,19 +227,16 @@ def test_mismatch_precedence_between_tasks():
     with pytest.raises(MismatchedExit) as info:
         build_task_graphs(parse_trace(text))
     assert str(info.value) == first_seen
-    with pytest.raises(MismatchedExit) as info:
-        build_callgraph(parse_trace(text))
-    assert str(info.value) == "task 't2' exits 'z' but the stack top is b"
 
 
 def test_tasks_do_not_share_stacks():
     text = "1 E a t1\n1 E b t2\n2 E c t1\n3 X c t1\n4 X a t1\n5 X b t2\n"
-    merged = build_callgraph(parse_trace(text))
-    assert merged.roots == {"a", "b"}
-    assert merged.edges == {("a", "c"): 1}
     per_task = build_task_graphs(parse_trace(text))
     assert set(per_task) == {"t1", "t2"}
-    assert per_task["t2"].nodes == {"b"}
+    assert per_task["t1"].roots == {"a"}
+    assert per_task["t1"].edges == {("a", "c"): 1}
+    assert per_task["t2"].roots == per_task["t2"].nodes == {"b"}
+    assert per_task == task_graphs(text)
 
 
 def test_callgraph_validation():
@@ -250,7 +256,7 @@ def diamond():
         "1 E a t\n2 E b t\n3 E d t\n4 X d t\n5 X b t\n"
         "6 E c t\n7 E d t\n8 X d t\n9 X c t\n10 X a t\n"
     )
-    return build_callgraph(parse_trace(text))
+    return task_graphs(text)["t"]
 
 
 def test_reachable_covers_diamond():

@@ -83,8 +83,8 @@ def test_adjacent_regions_do_not_overlap():
     asc = AddressSpaceController()
     asc.carve_secure_region(0x1000, 0x1000)
     asc.carve_secure_region(0x2000, 0x1000)  # touching is fine
-    assert asc.owner_at(0x1FFF) is RegionOwner.SECURE_ONLY
-    assert asc.owner_at(0x2000) is RegionOwner.SECURE_ONLY
+    assert asc.check_access(World.NORMAL, 0x1FFF, 1) is Decision.DENY
+    assert asc.check_access(World.NORMAL, 0x2000, 1) is Decision.DENY
 
 
 @given(st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 600)), max_size=12))
