@@ -14,6 +14,11 @@ Clock k of a segment carries:
     k == 0        right word bit 0 (wrapped)
     1 <= k <= W   left word bit W-k
     W < k < 2W    right word bit 2W-k
+
+So a segment, read MSB first as one 32-bit word, is the frame word
+[L15..L0 R15..R0] (left sample in the high half) rotated right by one
+clock: [R0 L15..L0 R15..R1].  The codec packs and unpacks whole frame words
+and rotates each by one bit, in one direction for each way.
 """
 
 from __future__ import annotations
@@ -55,56 +60,52 @@ class I2sBitstream:
     sd: np.ndarray
 
 
-def _word_bits(values: np.ndarray) -> np.ndarray:
-    """(n,) int16 -> (n, 16) bits, MSB first, two's-complement pattern."""
-    be = values.astype(np.int16).view(np.uint16).astype(">u2")
-    return np.unpackbits(be.view(np.uint8).reshape(-1, 2), axis=1)
+# One frame's ws clocks, and the same 2W clocks packed MSB first.
+_WS_SEGMENT = np.repeat(np.array([0, 1], dtype=np.uint8), WORD_LENGTH)
+_WS_SEGMENT.flags.writeable = False
+_WS_WORD = 0x0000FFFF
 
 
-def _bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """(n, 16) MSB-first bits -> (n,) int16."""
-    packed = np.packbits(bits.astype(np.uint8), axis=1)
-    return packed.view(">u2").astype(np.uint16).view(np.int16).reshape(-1)
+def _is_binary(line: np.ndarray) -> bool:
+    """Every clock holds 0 or 1, checked on the line's own dtype so that no
+    narrowing cast can fold another value (257, 0.5) into a bit.  An empty
+    line holds no value, whatever dtype `np.asarray([])` gave it."""
+    if line.size == 0:
+        return True
+    if line.dtype.kind not in "biu":
+        return False
+    return line.max() <= 1 and (line.dtype.kind != "i" or line.min() >= 0)
 
 
 def encode_frames(samples: np.ndarray) -> I2sBitstream:
     """Serialize (n, 2) int16 stereo samples into an I2S bitstream."""
     samples = np.asarray(samples, dtype=np.int16).reshape(-1, 2)
-    n = len(samples)
-    w = WORD_LENGTH
-    left_bits = _word_bits(samples[:, 0])
-    right_bits = _word_bits(samples[:, 1])
-    sd = np.zeros((n, 2 * w), dtype=np.uint8)
-    sd[:, 1 : w + 1] = left_bits
-    sd[:, w + 1 :] = right_bits[:, : w - 1]
-    sd[:, 0] = right_bits[:, w - 1]
-    ws = np.tile(np.repeat(np.array([0, 1], dtype=np.uint8), w), n)
-    return I2sBitstream(ws=ws, sd=sd.reshape(-1))
+    words = samples.astype(">i2").view(">u4").astype(np.uint32)
+    segments = ((words >> 1) | (words << 31)).astype(">u4")
+    return I2sBitstream(
+        ws=np.tile(_WS_SEGMENT, len(samples)), sd=np.unpackbits(segments.view(np.uint8))
+    )
 
 
 def decode_bitstream(bits: I2sBitstream) -> np.ndarray:
     """Inverse of :func:`encode_frames`; returns (n, 2) int16 samples."""
     w = WORD_LENGTH
-    ws = np.asarray(bits.ws, dtype=np.uint8)
-    sd = np.asarray(bits.sd, dtype=np.uint8)
+    ws = np.asarray(bits.ws)
+    sd = np.asarray(bits.sd)
     if ws.shape != sd.shape or ws.ndim != 1:
         raise MalformedStream("ws and sd must be equal-length flat sequences")
-    if np.any(ws > 1) or np.any(sd > 1):
+    if not (_is_binary(ws) and _is_binary(sd)):
         raise MalformedStream("bitstream values must be 0 or 1")
+    ws, sd = ws.astype(np.uint8, copy=False), sd.astype(np.uint8, copy=False)
     if len(ws) % (2 * w) != 0:
         raise MalformedStream(
             f"stream length {len(ws)} is not a multiple of {2 * w} clocks"
         )
-    n = len(ws) // (2 * w)
-    if n == 0:
-        return np.empty((0, 2), dtype=np.int16)
-    expected_ws = np.tile(np.repeat(np.array([0, 1], dtype=np.uint8), w), n)
-    if not np.array_equal(ws, expected_ws):
+    if np.any(np.packbits(ws).view(">u4") != _WS_WORD):
         raise MalformedStream("ws run lengths do not alternate every word")
-    segs = sd.reshape(n, 2 * w)
-    left = _bits_to_words(segs[:, 1 : w + 1])
-    right = _bits_to_words(np.hstack([segs[:, w + 1 :], segs[:, :1]]))
-    return np.stack([left, right], axis=1)
+    segments = np.packbits(sd).view(">u4")
+    words = ((segments << 1) | (segments >> 31)).astype(">u4")
+    return words.view(">i2").astype(np.int16).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

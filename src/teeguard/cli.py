@@ -9,8 +9,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import signal
 import sys
+import threading
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from .audio import GeneratorConfig
@@ -23,7 +26,7 @@ from .pipeline import (
 )
 from .relay import FilterAction, FilterPolicy
 from .sense import ARCHITECTURES, TrainConfig, evaluate, load_corpus, save_model, train
-from .tcbtrace import emit_report, merge_graphs, minimal_set, render_report, task_graphs
+from .tcbtrace import analyze, render_report
 
 
 def _parse_port(text: str) -> int:
@@ -158,28 +161,32 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_inventory(path: str) -> list[str]:
-    names = []
+def _inventory(path: str) -> Iterator[str]:
+    """Function names, one per line; the file is read once the traces are."""
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
-            names.append(line)
-    return names
+            yield line
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    per_trace = []
-    for path in args.traces:
-        try:
-            per_trace.append(task_graphs(Path(path).read_text(encoding="utf-8")))
-        except ValueError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-    graphs = merge_graphs(per_trace)
-    inventory = _load_inventory(args.inventory)
-    tasks = list(args.tasks.split(",")) if args.tasks else sorted(graphs)
-    required = minimal_set(graphs, tasks)
-    report = emit_report(inventory, required)
+    path = None
+
+    def traces():
+        # Read lazily, so a parse error is raised while `path` names its file.
+        nonlocal path
+        for path in args.traces:
+            yield Path(path).read_text(encoding="utf-8")
+        path = None
+
+    tasks = args.tasks.split(",") if args.tasks else None
+    try:
+        report = analyze(traces(), _inventory(args.inventory), tasks)
+    except ValueError as exc:
+        if path is None:
+            raise
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 2
     text = render_report(report) + "\n"
     if args.report_out:
         Path(args.report_out).write_text(text)
@@ -192,13 +199,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cloud = MockCloud(host=args.host, port=args.port, dump_path=args.dump)
     cloud.start()
     host, port = cloud.address
-    print(f"listening on {host}:{port}", flush=True)
+    # A shell starts a background job with SIGINT ignored; stop on it anyway.
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler) if main_thread else None
     try:
+        print(f"listening on {host}:{port}", flush=True)
         while True:
             time.sleep(0.2)
     except KeyboardInterrupt:
         pass
     finally:
+        if main_thread:
+            signal.signal(signal.SIGINT, previous)
         count = len(cloud.received())
         naks = cloud.nak_count
         cloud.stop()

@@ -293,7 +293,7 @@ def merge_graphs(graph_sets: Iterable[Mapping[str, CallGraph]]) -> dict[str, Cal
 
 
 def analyze(
-    trace_texts: Sequence[str], inventory: Iterable[str], tasks: Sequence[str] | None = None
+    trace_texts: Iterable[str], inventory: Iterable[str], tasks: Sequence[str] | None = None
 ) -> ExclusionReport:
     """Whole-module convenience: read each trace in one pass into per-task
     graphs, merge them, take the minimal set for `tasks` (default: every

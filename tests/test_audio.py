@@ -10,6 +10,7 @@ from teeguard.audio import (
     SAMPLE_MIN,
     WORD_LENGTH,
     GeneratorConfig,
+    I2sBitstream,
     MalformedStream,
     MicrophoneSource,
     Utterance,
@@ -86,6 +87,7 @@ def test_encode_decode_identity(pairs):
 def test_empty_stream_decodes_to_no_frames():
     bits = encode_frames(np.empty((0, 2), dtype=np.int16))
     assert decode_bitstream(bits).shape == (0, 2)
+    assert decode_bitstream(I2sBitstream(ws=[], sd=[])).shape == (0, 2)
 
 
 # -- framing rejections -----------------------------------------------------
@@ -130,6 +132,59 @@ def test_mismatched_line_lengths_rejected():
     bits.ws = bits.ws[:-2]
     with pytest.raises(MalformedStream):
         decode_bitstream(bits)
+
+
+# Each of these narrows to a valid uint8 stream of the original samples.
+@pytest.mark.parametrize(
+    "widen",
+    [
+        lambda ws, sd: (ws, sd.astype(np.int64) * 257),
+        lambda ws, sd: (ws + 0.5, sd),
+        lambda ws, sd: (ws.tolist(), [256 * int(bit) for bit in sd]),
+        lambda ws, sd: (ws, sd.astype(np.int64) * -1),
+    ],
+    ids=["int64-257", "float-offset-half", "list-256", "int64-negative"],
+)
+def test_wide_dtype_values_rejected_before_narrowing(widen):
+    bits = encode_frames(np.array([[123, -456]], dtype=np.int16))
+    ws, sd = widen(bits.ws, bits.sd)
+    with pytest.raises(MalformedStream, match="values must be 0 or 1"):
+        decode_bitstream(I2sBitstream(ws=ws, sd=sd))
+
+
+@pytest.mark.parametrize(
+    "widen",
+    [
+        lambda line: line.astype(bool),
+        lambda line: line.astype(np.int64),
+        lambda line: line.tolist(),
+    ],
+    ids=["bool", "int64", "list"],
+)
+def test_wide_dtype_bits_decode(widen):
+    samples = np.array([[123, -456], [SAMPLE_MIN, SAMPLE_MAX]], dtype=np.int16)
+    bits = encode_frames(samples)
+    decoded = decode_bitstream(I2sBitstream(ws=widen(bits.ws), sd=widen(bits.sd)))
+    assert decoded.dtype == np.int16
+    assert np.array_equal(decoded, samples)
+
+
+def test_encode_returns_fresh_writable_lines():
+    # Callers mutate streams in place; no line may alias another or a cache.
+    samples = np.array([[1, -2], [SAMPLE_MIN, SAMPLE_MAX]], dtype=np.int16)
+    first, second = encode_frames(samples), encode_frames(samples)
+    lines = [first.ws, first.sd, second.ws, second.sd]
+    for line in lines:
+        assert line.dtype == np.uint8 and line.ndim == 1
+        assert line.flags.c_contiguous and line.flags.writeable
+        assert not np.shares_memory(line, samples)
+    for i, line in enumerate(lines):
+        for other in lines[i + 1 :]:
+            assert not np.shares_memory(line, other)
+    first.ws[:] = 1
+    first.sd[:] = 1
+    assert encode_frames(samples).ws.tolist() == second.ws.tolist() == ([0] * 16 + [1] * 16) * 2
+    assert np.array_equal(decode_bitstream(encode_frames(samples)), samples)
 
 
 @settings(max_examples=150)

@@ -293,19 +293,32 @@ def test_port_range_ends_accepted():
 # -- serve -------------------------------------------------------------------
 
 
-def test_serve_process_counts_payloads(tmp_path):
-    # Run the child under this interpreter with this teeguard package first
-    # on its path, so the test needs no installed console script.
+def start_serve(*, ignore_sigint: bool = False) -> subprocess.Popen:
+    """`python -m teeguard serve --port 0` under this interpreter with this
+    teeguard package first on its path, so no installed console script is
+    needed.  With `ignore_sigint` the child inherits SIGINT set to SIG_IGN,
+    as a shell's background job does."""
     package_root = str(Path(teeguard.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "teeguard", "serve", "--port", "0"],
+    argv = [sys.executable, "-m", "teeguard", "serve", "--port", "0"]
+    if ignore_sigint:
+        argv = [
+            sys.executable, "-c",
+            "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+            "os.execv(sys.executable, sys.argv[1:])",
+            *argv,
+        ]
+    return subprocess.Popen(
+        argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def test_serve_process_counts_payloads(tmp_path):
+    proc = start_serve()
     try:
         banner = proc.stdout.readline().strip()
         assert banner.startswith("listening on 127.0.0.1:")
@@ -322,4 +335,16 @@ def test_serve_process_counts_payloads(tmp_path):
     finally:
         proc.kill()
     assert "received 3 payloads, rejected 1" in out
+    assert err == ""
+
+
+def test_serve_stops_on_sigint_inherited_as_ignored():
+    proc = start_serve(ignore_sigint=True)
+    try:
+        assert proc.stdout.readline().startswith("listening on 127.0.0.1:")
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert "received 0 payloads, rejected 0" in out
     assert err == ""

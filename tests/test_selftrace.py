@@ -60,8 +60,6 @@ ALLOWED_UNREACHED = {
     "tcbtrace__TraceEvent___post_init__",
     "tcbtrace__build_task_graphs",
     "tcbtrace__parse_trace",
-    # bench/worker.py runs the tcb-trace workload through analyze
-    "tcbtrace__analyze",
     # error path: map_region's OverlapError names the region it hits
     "tee__MemoryRegion___repr__",
 }
