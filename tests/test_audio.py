@@ -134,7 +134,8 @@ def test_mismatched_line_lengths_rejected():
         decode_bitstream(bits)
 
 
-# Each of these narrows to a valid uint8 stream of the original samples.
+# A uint8 cast would turn the first two back into the original stream and
+# the third into a bare OverflowError; each is judged on its own dtype.
 @pytest.mark.parametrize(
     "widen",
     [
