@@ -2,12 +2,16 @@
 
 Options come from an INI-style config file, command-line flags, or both;
 flags win.  Metrics are emitted as a single JSON document when asked.
+
+Each subcommand's handler imports the modules it runs, so `serve` and
+`trace` start without numpy or any secure-side module.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import signal
 import sys
@@ -16,17 +20,8 @@ import time
 from collections.abc import Iterator
 from pathlib import Path
 
-from .audio import GeneratorConfig
-from .cloud import MockCloud
-from .pipeline import (
-    ARCHITECTURE_CHOICES,
-    ClassifierConfig,
-    PipelineConfig,
-    run_pipeline,
-)
 from .relay import FilterAction, FilterPolicy
-from .sense import ARCHITECTURES, TrainConfig, evaluate, load_corpus, save_model, train
-from .tcbtrace import analyze, render_report
+from .words import ARCHITECTURE_CHOICES, ARCHITECTURES
 
 
 def _parse_port(text: str) -> int:
@@ -108,7 +103,11 @@ def _options(rows, args: argparse.Namespace, cp: configparser.ConfigParser | Non
     return values
 
 
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+def _pipeline_config(args: argparse.Namespace):
+    from .audio import GeneratorConfig
+    from .pipeline import ClassifierConfig, PipelineConfig
+    from .sense import TrainConfig
+
     cp = _load_config_file(args.config) if args.config else None
     classifier = ClassifierConfig(
         train=TrainConfig(**_options(_TRAIN_OPTIONS, args, cp)),
@@ -123,6 +122,8 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    from .pipeline import run_pipeline
+
     config = _pipeline_config(args)
     result = run_pipeline(config)
     m = result.metrics
@@ -141,16 +142,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .sense import TrainConfig, evaluate, load_corpus, save_model, train
+
     samples = load_corpus(args.corpus)
-    config = TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        seed=args.seed,
-        dim=args.dim,
-        filters=args.filters,
-        width=args.width,
-        vocab_size=args.vocab_size,
-    )
+    # Every TrainConfig field has a flag of its name; an unset one keeps its default.
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
+    config = TrainConfig(**{name: value for name, value in flags.items() if value is not None})
     result = train(args.architecture, samples, config)
     save_model(args.model_out, result.model)
     if args.history_out:
@@ -170,6 +167,8 @@ def _inventory(path: str) -> Iterator[str]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from .tcbtrace import analyze, render_report
+
     path = None
 
     def traces():
@@ -196,6 +195,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .cloud import MockCloud
+
     cloud = MockCloud(host=args.host, port=args.port, dump_path=args.dump)
     cloud.start()
     host, port = cloud.address
@@ -255,14 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--architecture", required=True, choices=ARCHITECTURES)
     p.add_argument("--model-out", dest="model_out", required=True)
     p.add_argument("--history-out", dest="history_out", help="write per-epoch loss here")
-    p.add_argument("--epochs", type=int, default=TrainConfig().epochs)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate",
-                   default=TrainConfig().learning_rate)
-    p.add_argument("--seed", type=int, default=TrainConfig().seed)
-    p.add_argument("--dim", type=int, default=TrainConfig().dim)
-    p.add_argument("--filters", type=int, default=TrainConfig().filters)
-    p.add_argument("--width", type=int, default=TrainConfig().width)
-    p.add_argument("--vocab-size", type=int, dest="vocab_size", default=TrainConfig().vocab_size)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", type=float, dest="learning_rate")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--filters", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--vocab-size", type=int, dest="vocab_size")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("trace", help="call-trace analysis and exclusion report")

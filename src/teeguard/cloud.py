@@ -90,12 +90,17 @@ class MockCloud:
             daemon_threads = True
 
         try:
-            self._server = Server((self._host, self._port), Handler)
+            server = Server((self._host, self._port), Handler)
         except OSError as exc:
             raise BindError(f"cannot bind {self._host}:{self._port}: {exc}") from None
         if self._dump_path is not None:
-            self._dump_file = open(self._dump_path, "w", encoding="utf-8")
-        server = self._server
+            try:
+                self._dump_file = open(self._dump_path, "w", encoding="utf-8")
+            except OSError:
+                # No serve_forever runs yet, so stop() could never shut it down.
+                server.server_close()
+                raise
+        self._server = server
         self._thread = threading.Thread(
             target=lambda: server.serve_forever(poll_interval=0.05), daemon=True
         )

@@ -36,6 +36,7 @@ from .pta import (
 )
 from .relay import (
     ACK_OK,
+    FRAME_HEADER,
     FilterPolicy,
     RedactionLog,
     RedactionRecord,
@@ -43,10 +44,8 @@ from .relay import (
     SecureChannel,
     TcpTransport,
     apply_policy,
-    encode_frame,
 )
 from .sense import (
-    ARCHITECTURES,
     TrainConfig,
     Transcript,
     Verdict,
@@ -57,9 +56,7 @@ from .sense import (
     train,
     transcribe,
 )
-from .words import Label, keyword_label
-
-ARCHITECTURE_CHOICES = ("oracle", *ARCHITECTURES)
+from .words import ARCHITECTURE_CHOICES, Label, keyword_label
 
 
 class PipelineError(RuntimeError):
@@ -259,7 +256,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                     if status != ACK_OK:
                         raise RuntimeError(f"collector rejected frame with status {status}")
                     metrics.forwarded += 1
-                    metrics.bytes_sent += len(encode_frame(packet))
+                    metrics.bytes_sent += FRAME_HEADER.size + len(packet.payload)
                     sent_payloads.append(packet.payload)
                 log.append(RedactionRecord(sequence, verdict.score, verdict.label, decision.action))
                 metrics.latency_us.append((time.perf_counter() - started) * 1e6)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import struct
-import threading
 from dataclasses import dataclass, field
 
 from . import tee
@@ -176,34 +175,26 @@ def decode_response(data: bytes) -> PtaResponse:
 
 @dataclass
 class PtaBridge:
-    """Dispatches TA commands to the secure driver.  Invokes are serialized:
-    at most one command executes at a time."""
+    """Dispatches TA commands to the secure driver, on the caller's thread."""
 
     driver: SecureAudioDriver
     memory: tee.Memory
     _sessions: set[int] = field(default_factory=set)
     _next_session: int = 1
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def open_session(self) -> int:
-        with self._lock:
-            session = self._next_session
-            self._next_session += 1
-            self._sessions.add(session)
+        session = self._next_session
+        self._next_session += 1
+        self._sessions.add(session)
         return session
 
     def close_session(self, session: int) -> PtaResponse:
-        with self._lock:
-            if session not in self._sessions:
-                return PtaResponse(PtaStatus.BAD_SESSION)
-            self._sessions.remove(session)
+        if session not in self._sessions:
+            return PtaResponse(PtaStatus.BAD_SESSION)
+        self._sessions.remove(session)
         return PtaResponse(PtaStatus.OK)
 
     def invoke(self, cmd: PtaCommand, ctx: tee.WorldContext) -> PtaResponse:
-        with self._lock:
-            return self._dispatch(cmd, ctx)
-
-    def _dispatch(self, cmd: PtaCommand, ctx: tee.WorldContext) -> PtaResponse:
         if ctx.current is not tee.World.SECURE:
             return PtaResponse(PtaStatus.ACCESS_DENIED)
         if cmd.session not in self._sessions:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -221,7 +220,6 @@ class SecureChannel:
         self._transport = transport
         self._connected = False
         self._next_sequence = 0
-        self._lock = threading.Lock()
 
     def connect(self, endpoint: tuple[str, int]) -> None:
         self._transport.connect(endpoint)
@@ -234,12 +232,11 @@ class SecureChannel:
 
     def next_sequence(self) -> int:
         """Sequence numbers are handed out once and never reused."""
-        with self._lock:
-            if self._next_sequence >= SEQUENCE_LIMIT:
-                raise RuntimeError("sequence space exhausted")
-            value = self._next_sequence
-            self._next_sequence += 1
-            return value
+        if self._next_sequence >= SEQUENCE_LIMIT:
+            raise RuntimeError("sequence space exhausted")
+        value = self._next_sequence
+        self._next_sequence += 1
+        return value
 
     def send(self, packet: RelayPacket, ctx: WorldContext) -> int:
         """Relay one frame and return the peer's status code.

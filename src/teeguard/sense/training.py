@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..words import Label
+from ..words import ARCHITECTURES, Label
 from .models import (
     Model,
     init_attention,
@@ -25,8 +25,6 @@ from .models import (
     trainable_params,
 )
 from .text import Vocab, tokenize
-
-ARCHITECTURES = ("cnn", "attention", "hybrid")
 
 
 class UnknownArchitecture(ValueError):

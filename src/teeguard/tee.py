@@ -183,7 +183,7 @@ class Memory:
                 f"{world.name} world read of [{base:#x}, +{length:#x}) denied"
             )
         region, offset = self._locate(base, length)
-        return bytes(self._ensure_backing(region)[offset : offset + length])
+        return bytes(memoryview(self._ensure_backing(region))[offset : offset + length])
 
     def write(self, world: World, base: int, data: bytes) -> None:
         if not data:

@@ -1,4 +1,9 @@
-"""Word segmentation and the keyword ground-truth rule shared across the pipeline."""
+"""Word segmentation, the keyword ground-truth rule and the classifier
+architecture names shared across the pipeline.
+
+Stdlib only: the command-line parser takes the architecture names from here,
+so a process that never classifies loads no model code.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,9 @@ import re
 from collections.abc import Iterable
 
 _WORD_RUN = re.compile(r"[a-z0-9]+")
+
+ARCHITECTURES = ("cnn", "attention", "hybrid")  # trained classifiers
+ARCHITECTURE_CHOICES = ("oracle", *ARCHITECTURES)  # oracle: the keyword rule itself
 
 
 class Label(enum.Enum):

@@ -15,8 +15,9 @@ import teeguard
 from teeguard.audio import GeneratorConfig, make_labeled_corpus
 from teeguard.cli import _parse_endpoint, build_parser, main
 from teeguard.cloud import MockCloud
+from teeguard.pipeline import ARCHITECTURE_CHOICES
 from teeguard.relay import RelayPacket, encode_frame
-from teeguard.sense import load_model, save_corpus
+from teeguard.sense import TrainConfig, load_model, save_corpus
 from teeguard.tcbtrace import analyze, render_report
 
 DATA = Path(__file__).parent / "data"
@@ -96,6 +97,29 @@ def test_train_rejects_unknown_architecture(tmp_path, corpus_file):
                 "--architecture", "rnn", "--model-out", str(tmp_path / "m.bin"),
             ]
         )
+
+
+def test_unset_train_flags_take_the_train_config_defaults(tmp_path, corpus_file):
+    required = ["train", "--corpus", str(corpus_file), "--architecture", "cnn"]
+    defaults = TrainConfig()
+    spelled_out = [
+        "--epochs", defaults.epochs, "--learning-rate", defaults.learning_rate,
+        "--seed", defaults.seed, "--dim", defaults.dim, "--filters", defaults.filters,
+        "--width", defaults.width, "--vocab-size", defaults.vocab_size,
+    ]
+    bare, explicit = tmp_path / "bare.bin", tmp_path / "explicit.bin"
+    assert main([*required, "--model-out", str(bare)]) == 0
+    assert main([*required, "--model-out", str(explicit), *map(str, spelled_out)]) == 0
+    assert bare.read_bytes() == explicit.read_bytes()
+
+
+def test_pipeline_architecture_choices():
+    parser = build_parser()
+    for architecture in ARCHITECTURE_CHOICES:
+        args = parser.parse_args(["pipeline", "--architecture", architecture])
+        assert args.architecture == architecture
+    with pytest.raises(SystemExit):
+        parser.parse_args(["pipeline", "--architecture", "rnn"])
 
 
 # -- trace -------------------------------------------------------------------
@@ -293,14 +317,45 @@ def test_port_range_ends_accepted():
 # -- serve -------------------------------------------------------------------
 
 
-def start_serve(*, ignore_sigint: bool = False) -> subprocess.Popen:
-    """`python -m teeguard serve --port 0` under this interpreter with this
-    teeguard package first on its path, so no installed console script is
-    needed.  With `ignore_sigint` the child inherits SIGINT set to SIG_IGN,
-    as a shell's background job does."""
+# Runs `python -m teeguard ...` and, at exit, prints one last stdout line
+# naming every module the process loaded.
+REPORT_MODULES = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print('modules:', *sorted(sys.modules))); "
+    "runpy.run_module('teeguard', run_name='__main__', alter_sys=True)"
+)
+
+# What only capture, the enclave and the classifiers need.
+SECURE_SIDE = ("numpy", "teeguard.audio", "teeguard.driver", "teeguard.pta",
+               "teeguard.pipeline", "teeguard.sense")
+
+
+def child_env() -> dict:
+    """This environment with this teeguard package first on the path, so no
+    installed console script is needed."""
     package_root = str(Path(teeguard.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def secure_side_modules(out: str) -> list[str]:
+    """The SECURE_SIDE modules in a REPORT_MODULES child's output."""
+    line = out.splitlines()[-1]
+    assert line.startswith("modules: ")
+    return [
+        name for name in line.split()[1:]
+        if any(name == top or name.startswith(top + ".") for top in SECURE_SIDE)
+    ]
+
+
+def start_serve(*, ignore_sigint: bool = False, report_modules: bool = False) -> subprocess.Popen:
+    """`python -m teeguard serve --port 0` under this interpreter (see
+    `child_env`).  With `ignore_sigint` the child inherits SIGINT set to
+    SIG_IGN, as a shell's background job does; with `report_modules` it runs
+    under REPORT_MODULES."""
     argv = [sys.executable, "-m", "teeguard", "serve", "--port", "0"]
+    if report_modules:
+        argv[1:3] = ["-c", REPORT_MODULES]
     if ignore_sigint:
         argv = [
             sys.executable, "-c",
@@ -313,7 +368,7 @@ def start_serve(*, ignore_sigint: bool = False) -> subprocess.Popen:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env(),
     )
 
 
@@ -348,3 +403,25 @@ def test_serve_stops_on_sigint_inherited_as_ignored():
         proc.kill()
     assert "received 0 payloads, rejected 0" in out
     assert err == ""
+
+
+def test_serve_loads_nothing_secure_side():
+    proc = start_serve(report_modules=True)
+    try:
+        assert proc.stdout.readline().startswith("listening on 127.0.0.1:")
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert "received 0 payloads, rejected 0" in out
+    assert err == ""
+    assert secure_side_modules(out) == []
+
+
+def test_trace_loads_nothing_secure_side():
+    argv = [sys.executable, "-c", REPORT_MODULES, "trace", str(DATA / "session.trace"),
+            "--inventory", str(DATA / "inventory.txt")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "inventory=12 required=10 excluded=2" in proc.stdout
+    assert secure_side_modules(proc.stdout) == []

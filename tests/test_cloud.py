@@ -1,6 +1,7 @@
 """Collector endpoint over real sockets: framing, NAK recovery, dump files."""
 
 import socket
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -124,6 +125,22 @@ def test_bind_conflict_reported():
         second = MockCloud(port=port)
         with pytest.raises(BindError):
             second.start()
+
+
+def test_failed_dump_open_leaves_nothing_bound(tmp_path):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    cloud = MockCloud(port=port, dump_path=tmp_path / "no-such-dir" / "dump.txt")
+    with pytest.raises(FileNotFoundError):
+        cloud.start()
+    # stop() must not wait on a serve loop that never started
+    stopper = threading.Thread(target=cloud.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5.0)
+    assert not stopper.is_alive()
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", port))  # the failed start released the port
 
 
 def test_connect_to_unbound_port_fails():
