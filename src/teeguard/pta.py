@@ -175,7 +175,8 @@ def decode_response(data: bytes) -> PtaResponse:
 
 @dataclass
 class PtaBridge:
-    """Dispatches TA commands to the secure driver, on the caller's thread."""
+    """Dispatches TA commands to the secure driver.  It takes no lock: the
+    pipeline loop drives it from one thread."""
 
     driver: SecureAudioDriver
     memory: tee.Memory
