@@ -2,8 +2,8 @@
 enclave, classifies its transcript for sensitivity, and redacts before any
 byte leaves for the cloud.
 
-Submodules and the pipeline names below load on first use (PEP 562), so a
-process loads only the worlds it runs: the collector (`teeguard serve`)
+Submodules and the pipeline names below load on first use (PEP 562), so
+`import teeguard` loads nothing else, and the collector (`teeguard serve`)
 never imports numpy, the driver, the PTA or the classifiers.
 """
 
