@@ -1,6 +1,12 @@
 """I2S peripheral model: stereo PCM frames, the serial bitstream codec, and a
 simulated microphone producing utterances with hidden ground-truth payloads.
 
+The microphone speaks in word symbols.  Read the frames flat as interleaved
+L/R int16 samples: an utterance of k words starts with k symbols, one per
+word, each the word's position in :func:`lexicon` plus 1, then a 0
+terminator.  The rest of the samples are noise.  At most
+:func:`symbol_budget` samples carry symbols.
+
 Bitstream layout, per frame of 2*W clocks (W = WORD_LENGTH bits): the
 word-select line is 0 for the left word window and 1 for the right word
 window.  Data is MSB-first with the standard I2S one-bit delay, so each
@@ -110,9 +116,10 @@ def decode_bitstream(bits: I2sBitstream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Utterance:
-    """Captured audio plus the hidden test-harness channel standing in for
-    speech content.  The payload and truth label never cross the relay
-    boundary except via secure-world transcription."""
+    """Captured audio, whose leading samples carry the spoken words, plus
+    the harness's ground truth: ``payload_text`` is what the words say and
+    ``truth_label`` what the keyword rule makes of it.  Neither field goes
+    into the pipeline; the secure world reads the words from the PCM."""
 
     frames: np.ndarray
     payload_text: str
@@ -138,6 +145,8 @@ class GeneratorConfig:
             raise ValueError("word count range is invalid")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be positive")
+        if len(self.keywords) + self.vocab_size > SAMPLE_MAX:
+            raise ValueError("every lexicon symbol must fit a positive int16 sample")
 
 
 def filler_vocabulary(config: GeneratorConfig) -> list[str]:
@@ -152,12 +161,15 @@ def filler_vocabulary(config: GeneratorConfig) -> list[str]:
     return vocab[: config.vocab_size]
 
 
-def max_text_bytes(config: GeneratorConfig) -> int:
-    """UTF-8 length of the longest text the generator can produce: max_words
-    filler words plus two keyword inserts, joined by single spaces."""
-    filler = max(len(w.encode("utf-8")) for w in filler_vocabulary(config))
-    keyword = max((len(k.encode("utf-8")) for k in config.keywords), default=0)
-    return config.max_words * (filler + 1) + 2 * (keyword + 1) - 1
+def lexicon(config: GeneratorConfig) -> list[str]:
+    """Every word the generator can say; word i's symbol is i + 1."""
+    return list(config.keywords) + filler_vocabulary(config)
+
+
+def symbol_budget(config: GeneratorConfig) -> int:
+    """Samples the longest utterance's symbols take: max_words filler words,
+    two keyword inserts and the 0 terminator."""
+    return config.max_words + 2 + 1
 
 
 class _TextSampler:
@@ -166,41 +178,47 @@ class _TextSampler:
         self.rng = rng
         self.filler = filler_vocabulary(config)
 
-    def sample(self) -> tuple[str, Label]:
+    def sample(self) -> tuple[list[str], Label]:
         cfg = self.config
         want_sensitive = self.rng.random() < cfg.sensitivity
         count = int(self.rng.integers(cfg.min_words, cfg.max_words + 1))
         words = [self.filler[int(i)] for i in self.rng.integers(0, len(self.filler), count)]
         if want_sensitive:
-            inserts = 1 + int(self.rng.random() < 0.25)  # max_text_bytes relies on <= 2
+            inserts = 1 + int(self.rng.random() < 0.25)  # symbol_budget relies on <= 2
             for _ in range(inserts):
                 keyword = cfg.keywords[int(self.rng.integers(0, len(cfg.keywords)))]
                 position = int(self.rng.integers(0, len(words) + 1))
                 words.insert(position, keyword)
-        text = " ".join(words)
-        return text, keyword_label(text, cfg.keywords)
+        return words, keyword_label(" ".join(words), cfg.keywords)
 
 
 @dataclass
 class MicrophoneSource:
-    """Deterministic simulated microphone: seeded PCM noise plus generated
-    utterance payloads labeled by the keyword rule."""
+    """Deterministic simulated microphone: seeded PCM noise with a generated
+    utterance written over its leading samples as word symbols, labeled by
+    the keyword rule."""
 
     config: GeneratorConfig
     seed: int
     _rng: np.random.Generator = field(init=False, repr=False)
     _sampler: _TextSampler = field(init=False, repr=False)
+    _symbols: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
         self._sampler = _TextSampler(self.config, self._rng)
+        self._symbols = {word: i for i, word in enumerate(lexicon(self.config), 1)}
 
     def capture(self, n: int) -> Utterance:
         if n <= 0:
             raise ValueError("frame count must be positive")
+        if 2 * n < symbol_budget(self.config):
+            raise ValueError(f"{n} frames cannot hold {symbol_budget(self.config)} symbols")
         frames = self._rng.integers(SAMPLE_MIN, SAMPLE_MAX + 1, size=(n, 2), dtype=np.int16)
-        text, label = self._sampler.sample()
-        return Utterance(frames=frames, payload_text=text, truth_label=label)
+        words, label = self._sampler.sample()
+        symbols = [self._symbols[word] for word in words] + [0]
+        frames.reshape(-1)[: len(symbols)] = symbols
+        return Utterance(frames, " ".join(words), label)
 
 
 def make_labeled_corpus(
@@ -209,4 +227,5 @@ def make_labeled_corpus(
     """Generate `count` (text, label) pairs with the same text model as the
     microphone source."""
     sampler = _TextSampler(config, np.random.default_rng(seed))
-    return [sampler.sample() for _ in range(count)]
+    samples = (sampler.sample() for _ in range(count))
+    return [(" ".join(words), label) for words, label in samples]

@@ -4,8 +4,6 @@ secure region, bitstream ingestion, and block encoding for the PTA hand-off.
 Encoded block wire image (little-endian):
     magic "TGB1" (4) | sequence u32 | frame_count u32 | payload_length u32
     payload: frame_count * 4 bytes of interleaved L/R int16 samples
-    annex:   UTF-8 transcription payload (secure-world only; models what real
-             speech recognition would recover from the PCM)
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ class EncodedBlock:
     sequence: int
     frame_count: int
     payload: bytes
-    attached_text: str
 
     def __post_init__(self) -> None:
         if len(self.payload) != self.frame_count * FRAME_BYTES:
@@ -57,7 +54,7 @@ class EncodedBlock:
         header = HEADER.pack(
             BLOCK_MAGIC, self.sequence, self.frame_count, self.payload_length
         )
-        return header + self.payload + self.attached_text.encode("utf-8")
+        return header + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodedBlock":
@@ -71,19 +68,9 @@ class EncodedBlock:
         end = HEADER.size + payload_length
         if len(data) < end:
             raise MalformedBlock("truncated payload")
-        payload = data[HEADER.size : end]
-        try:
-            text = data[end:].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedBlock("annex is not valid UTF-8") from exc
-        return cls(sequence, frame_count, payload, text)
-
-
-@dataclass
-class _AnnexEntry:
-    frames_left: int
-    text: str
-    delivered: bool = False
+        if len(data) > end:
+            raise MalformedBlock(f"{len(data) - end} trailing bytes after the payload")
+        return cls(sequence, frame_count, data[HEADER.size :])
 
 
 class SecureAudioDriver:
@@ -113,7 +100,6 @@ class SecureAudioDriver:
         self._head = 0  # next slot to read
         self._tail = 0  # next slot to write
         self._count = 0
-        self._annex: list[_AnnexEntry] = []
         self._lock = threading.Lock()
 
     @property
@@ -146,7 +132,7 @@ class SecureAudioDriver:
             )
         return data
 
-    def ingest(self, stream: audio.I2sBitstream, payload_text: str | None = None) -> int:
+    def ingest(self, stream: audio.I2sBitstream) -> int:
         """Decode the bitstream and append frames until the ring is full;
         rejected frames bump the overrun counter.  Returns frames accepted."""
         samples = audio.decode_bitstream(stream)
@@ -158,41 +144,19 @@ class SecureAudioDriver:
                 self._write_slots(self._tail, data)
                 self._tail = (self._tail + accepted) % self.capacity
                 self._count += accepted
-                if payload_text:
-                    self._annex.append(_AnnexEntry(accepted, payload_text))
             self.overrun_count += rejected
         return accepted
-
-    def _collect_annex(self, n: int, consume: bool) -> str:
-        texts = []
-        remaining = n
-        for entry in self._annex:
-            if remaining <= 0:
-                break
-            take = min(entry.frames_left, remaining)
-            if not entry.delivered and take > 0:
-                texts.append(entry.text)
-                if consume:
-                    entry.delivered = True
-            if consume:
-                entry.frames_left -= take
-            remaining -= take
-        if consume:
-            self._annex = [e for e in self._annex if e.frames_left > 0]
-        return " ".join(texts)
 
     def encoded_size(self, n: int) -> int:
         """Serialized size of the block the next read_block(n) would produce."""
         with self._lock:
             if n > self._count:
                 raise Underflow(f"occupancy {self._count} < requested {n}")
-            annex = self._collect_annex(n, consume=False)
-        return HEADER.size + n * FRAME_BYTES + len(annex.encode("utf-8"))
+        return HEADER.size + n * FRAME_BYTES
 
     def read_block(self, n: int, caller: tee.World, ctx: tee.WorldContext) -> EncodedBlock:
         """Dequeue n frames into an encoded block; only the secure world (the
-        PTA path) may call.  Attaches the pending utterance payloads whose
-        audio begins inside the dequeued range."""
+        PTA path) may call."""
         if caller is not tee.World.SECURE or ctx.current is not tee.World.SECURE:
             raise AccessDenied("read_block is a secure-world operation")
         if n <= 0:
@@ -203,7 +167,6 @@ class SecureAudioDriver:
             payload = self._read_slots(self._head, n)
             self._head = (self._head + n) % self.capacity
             self._count -= n
-            text = self._collect_annex(n, consume=True)
             sequence = self.next_sequence
             self.next_sequence = (self.next_sequence + 1) % (1 << 32)
-        return EncodedBlock(sequence, n, payload, text)
+        return EncodedBlock(sequence, n, payload)

@@ -1,11 +1,12 @@
 """End-to-end pipeline: microphone capture to redacted cloud upload.
 
 One loop takes each utterance through every stage in turn: capture and
-encode on the normal side, ingest into the secure ring, then the trusted
+encode at the microphone, ingest into the secure ring, then the trusted
 side reads the block back through the PTA, transcribes, classifies,
-filters and relays it.  The loop reads exactly what it ingests, so the ring
-never overruns, and runs are reproducible for a given seed.  Everything
-runs on the calling thread.
+filters and relays it.  The world context stays SECURE from capture to
+filter; only the relay switches to the normal world and back.  The loop
+reads exactly what it ingests, so the ring never overruns, and runs are
+reproducible for a given seed.  Everything runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .audio import (
     GeneratorConfig,
     MicrophoneSource,
     encode_frames,
-    filler_vocabulary,
+    lexicon,
     make_labeled_corpus,
-    max_text_bytes,
+    symbol_budget,
 )
 from .driver import FRAME_BYTES, HEADER, EncodedBlock, SecureAudioDriver
 from .pta import (
@@ -101,6 +102,8 @@ class PipelineConfig:
             raise ValueError("frames_per_utterance must be at least 1")
         if self.capacity < self.frames_per_utterance:
             raise ValueError("driver capacity must hold at least one utterance")
+        if 2 * self.frames_per_utterance < symbol_budget(self.generator):
+            raise ValueError("frames_per_utterance too small for the longest transcript")
         if self.cost_per_switch < 0:
             raise ValueError("cost_per_switch must be non-negative")
         if _block_bound(self) >= MEMREF_FIELD_LIMIT:
@@ -108,10 +111,8 @@ class PipelineConfig:
 
 
 def _block_bound(config: PipelineConfig) -> int:
-    """Bytes of the largest block one utterance can produce: its frames and
-    the longest transcript the generator can attach."""
-    frames = config.frames_per_utterance * FRAME_BYTES
-    return HEADER.size + frames + max_text_bytes(config.generator)
+    """Bytes of the block one utterance produces."""
+    return HEADER.size + config.frames_per_utterance * FRAME_BYTES
 
 
 @dataclass
@@ -147,7 +148,7 @@ class RunResult:
 
 
 def _oracle_vocab(generator: GeneratorConfig) -> Vocab:
-    words = list(generator.keywords) + filler_vocabulary(generator)
+    words = lexicon(generator)
     return Vocab.from_texts([" ".join(words)], max_size=len(words) + 1)
 
 
@@ -189,6 +190,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
     relay.  Any error aborts the run with the failing stage named."""
     try:
         vocab, verdict_fn = build_classifier(config)
+        lexicon_words = lexicon(config.generator)
         asc = tee.AddressSpaceController()
         memory = tee.Memory(asc)
         driver = SecureAudioDriver(asc, memory, config.capacity)
@@ -220,7 +222,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                 stream = encode_frames(utt.frames)
                 utterances.append((utt.payload_text, utt.truth_label))
                 stage = "ingest"
-                accepted = driver.ingest(stream, payload_text=utt.payload_text)
+                accepted = driver.ingest(stream)
                 if accepted != count:
                     raise RuntimeError(f"ring accepted {accepted} of {count} frames")
 
@@ -237,7 +239,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                 written = resp.params[1].b
                 block = EncodedBlock.from_bytes(memory.read(tee.World.SECURE, out_base, written))
                 stage = "transcribe"
-                transcript = transcribe(block, vocab)
+                transcript = transcribe(block, lexicon_words, vocab)
                 stage = "classify"
                 verdict = verdict_fn(transcript)
                 stage = "filter"

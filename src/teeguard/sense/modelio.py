@@ -79,6 +79,8 @@ def _read_arrays(
         if len(buf) - offset < need:
             raise ModelFormatError("model file truncated")
         arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ModelFormatError("model weights must be finite")
         out.append(arr.astype(np.float64).reshape(shape))
         offset += need
     return out, offset

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ..driver import EncodedBlock
@@ -13,7 +14,7 @@ UNKNOWN_WORD = "unk"  # reserved: never enters a vocabulary, so it maps back to 
 
 
 class MissingPayload(ValueError):
-    """Block carries no transcription payload."""
+    """Block's samples do not decode to a transcript."""
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,19 @@ class Transcript:
     tokens: tuple[int, ...]
 
 
-def transcribe(block: EncodedBlock, vocab: Vocab) -> Transcript:
-    """Deterministic ASR stand-in: the block's attached payload is the transcript."""
-    if not block.attached_text:
-        raise MissingPayload(f"block {block.sequence} has no transcription payload")
-    return Transcript(block.attached_text, tuple(tokenize(block.attached_text, vocab)))
+def transcribe(block: EncodedBlock, lexicon: Sequence[str], vocab: Vocab) -> Transcript:
+    """Deterministic ASR stand-in: the block's leading samples are word
+    symbols (lexicon position + 1) up to a 0 terminator."""
+    payload = block.payload
+    end = payload.find(b"\0\0")
+    while end % 2 and end != -1:  # the zero pair straddles two samples
+        end = payload.find(b"\0\0", end + 1)
+    if end == -1:
+        raise MissingPayload(f"block {block.sequence} has no symbol terminator")
+    symbols = struct.unpack_from(f"<{end // 2}h", payload)
+    if not symbols:
+        raise MissingPayload(f"block {block.sequence} has an empty transcript")
+    if min(symbols) < 1 or max(symbols) > len(lexicon):
+        raise MissingPayload(f"block {block.sequence} has a symbol outside the lexicon")
+    text = " ".join([lexicon[s - 1] for s in symbols])
+    return Transcript(text, tuple(tokenize(text, vocab)))

@@ -160,12 +160,12 @@ def train(
 
 
 def classify(model: Model, tokens: Sequence[int], threshold: float = 0.5) -> Verdict:
-    """Score one token sequence; scores at or above the threshold are
-    treated as sensitive."""
+    """Score one token sequence; only a score below the threshold is benign,
+    so a NaN score counts as sensitive."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
     value = score(model, tokens)
-    label = Label.SENSITIVE if value >= threshold else Label.BENIGN
+    label = Label.BENIGN if value < threshold else Label.SENSITIVE
     return Verdict(score=value, label=label, threshold=threshold)
 
 

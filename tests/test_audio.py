@@ -17,8 +17,9 @@ from teeguard.audio import (
     decode_bitstream,
     encode_frames,
     filler_vocabulary,
+    lexicon,
     make_labeled_corpus,
-    max_text_bytes,
+    symbol_budget,
 )
 from teeguard.words import Label
 
@@ -266,14 +267,37 @@ def test_word_counts_respect_bounds():
         assert 4 <= count <= 12
 
 
-def test_max_text_bytes_bounds_every_text():
+def test_symbol_budget_bounds_every_utterance():
     config = GeneratorConfig(
         keywords=("cl\u00e9", "pin"), sensitivity=1.0, vocab_size=5, min_words=3, max_words=3
     )
-    bound = max_text_bytes(config)
-    assert bound == 3 * len("lights ") + 2 * len("cl\u00e9 ".encode("utf-8")) - 1
-    sizes = [len(text.encode("utf-8")) for text, _ in make_labeled_corpus(config, 2, 2000)]
-    assert max(sizes) <= bound
+    assert symbol_budget(config) == 3 + 2 + 1
+    words = lexicon(config)
+    mic = MicrophoneSource(config, seed=2)
+    for _ in range(500):
+        utt = mic.capture(3)  # six samples: exactly the budget
+        flat = utt.frames.reshape(-1).tolist()
+        spoken = utt.payload_text.split()
+        assert flat[: len(spoken) + 1] == [words.index(w) + 1 for w in spoken] + [0]
+    with pytest.raises(ValueError):
+        mic.capture(2)
+
+
+def test_capture_overwrites_only_the_leading_noise():
+    config = GeneratorConfig()
+    utt = MicrophoneSource(config, seed=42).capture(160)
+    noise = np.random.default_rng(42).integers(
+        SAMPLE_MIN, SAMPLE_MAX + 1, size=(160, 2), dtype=np.int16
+    ).reshape(-1)
+    spoken = len(utt.payload_text.split()) + 1
+    assert np.array_equal(utt.frames.reshape(-1)[spoken:], noise[spoken:])
+
+
+def test_lexicon_symbols_must_fit_int16():
+    keywords = GeneratorConfig().keywords
+    GeneratorConfig(vocab_size=SAMPLE_MAX - len(keywords))
+    with pytest.raises(ValueError):
+        GeneratorConfig(vocab_size=SAMPLE_MAX - len(keywords) + 1)
 
 
 def test_filler_vocabulary_excludes_keywords():

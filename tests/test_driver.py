@@ -87,7 +87,7 @@ def test_overflow_rejects_newest_frames():
 def test_empty_stream_changes_nothing():
     _, _, _, driver = make_driver()
     empty = encode_frames(np.empty((0, 2), dtype=np.int16))
-    assert driver.ingest(empty, payload_text="ignored") == 0
+    assert driver.ingest(empty) == 0
     assert driver.occupancy() == 0
     assert driver.overrun_count == 0
 
@@ -215,71 +215,53 @@ def test_concurrent_producer_consumer():
     assert driver.overrun_count == 0
 
 
-# -- annex text ---------------------------------------------------------------
-
-
-def test_annex_rides_with_first_frame():
-    _, _, ctx, driver = make_driver()
-    driver.ingest(tagged_stream(0, 10), payload_text="alpha")
-    driver.ingest(tagged_stream(10, 10), payload_text="bravo")
-    first = driver.read_block(5, tee.World.SECURE, ctx)
-    assert first.attached_text == "alpha"
-    middle = driver.read_block(7, tee.World.SECURE, ctx)  # crosses into bravo
-    assert middle.attached_text == "bravo"
-    rest = driver.read_block(8, tee.World.SECURE, ctx)
-    assert rest.attached_text == ""
-
-
-def test_annex_joins_multiple_utterances():
-    _, _, ctx, driver = make_driver()
-    driver.ingest(tagged_stream(0, 4), payload_text="one")
-    driver.ingest(tagged_stream(4, 4), payload_text="two")
-    block = driver.read_block(8, tee.World.SECURE, ctx)
-    assert block.attached_text == "one two"
-
-
 def test_encoded_size_predicts_serialization():
     _, _, ctx, driver = make_driver()
-    driver.ingest(tagged_stream(0, 12), payload_text="hello there")
+    driver.ingest(tagged_stream(0, 12))
     size = driver.encoded_size(12)
+    assert size == HEADER.size + 12 * FRAME_BYTES
     assert driver.occupancy() == 12  # preview must not consume
     block = driver.read_block(12, tee.World.SECURE, ctx)
     assert len(block.to_bytes()) == size
+    with pytest.raises(Underflow):
+        driver.encoded_size(1)
 
 
 # -- wire image ---------------------------------------------------------------
 
 
 def test_block_round_trip():
-    block = EncodedBlock(7, 3, b"\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00\x06\x00", "pin 12")
+    block = EncodedBlock(7, 3, b"\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00\x06\x00")
     again = EncodedBlock.from_bytes(block.to_bytes())
     assert again == block
 
 
 def test_block_header_layout():
-    block = EncodedBlock(1, 1, b"\xaa\xbb\xcc\xdd", "")
+    block = EncodedBlock(1, 1, b"\xaa\xbb\xcc\xdd")
     raw = block.to_bytes()
     assert raw[:4] == BLOCK_MAGIC
     assert len(raw) == HEADER.size + 4
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.text(max_size=30))
-def test_block_round_trip_property(sequence, n, text):
+@given(st.integers(0, 2**32 - 1), st.integers(0, 50))
+def test_block_round_trip_property(sequence, n):
     payload = np.arange(2 * n, dtype="<i2").tobytes()
-    block = EncodedBlock(sequence, n, payload, text)
-    assert EncodedBlock.from_bytes(block.to_bytes()) == block
+    block = EncodedBlock(sequence, n, payload)
+    raw = block.to_bytes()
+    assert len(raw) == HEADER.size + n * FRAME_BYTES
+    assert EncodedBlock.from_bytes(raw) == block
 
 
 def test_malformed_blocks_rejected():
-    good = EncodedBlock(0, 2, b"\x00" * 8, "x").to_bytes()
+    good = EncodedBlock(0, 2, b"\x00" * 8).to_bytes()
     with pytest.raises(MalformedBlock):
         EncodedBlock.from_bytes(good[: HEADER.size - 1])
     with pytest.raises(MalformedBlock):
         EncodedBlock.from_bytes(b"XXXX" + good[4:])
     with pytest.raises(MalformedBlock):
-        EncodedBlock.from_bytes(good[:-2])  # annex is fine to drop, payload is not
+        EncodedBlock.from_bytes(good[:-2])  # truncated payload
     with pytest.raises(MalformedBlock):
-        EncodedBlock.from_bytes(good + b"\xff\xfe")  # annex is not UTF-8
+        EncodedBlock.from_bytes(good + b"x")  # nothing may follow the payload
     mangled = bytearray(good)
     mangled[12] ^= 0xFF  # payload_length disagrees with frame_count
     with pytest.raises(MalformedBlock):
@@ -288,4 +270,4 @@ def test_malformed_blocks_rejected():
 
 def test_payload_length_must_match_frame_count():
     with pytest.raises(ValueError):
-        EncodedBlock(0, 2, b"\x00" * 7, "")
+        EncodedBlock(0, 2, b"\x00" * 7)

@@ -118,6 +118,26 @@ def test_trailing_bytes_rejected():
         model_from_bytes(raw + b"\x00" * 8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["cnn", "attention", "hybrid"])
+def test_non_finite_weights_rejected(name, bad):
+    raw = model_to_bytes(models()[name])
+    word = np.array([bad], dtype="<f8").tobytes()
+    for at in (HEADER_SIZE, len(raw) - 8):  # the first and the last weight
+        mangled = raw[:at] + word + raw[at + 8 :]
+        with pytest.raises(ModelFormatError):
+            model_from_bytes(mangled)
+
+
+def test_nan_fc_bias_file_refused_at_load(tmp_path):
+    model = models()["cnn"]
+    model.fc_bias = np.array(np.nan)
+    path = tmp_path / "nan.tgm"
+    save_model(path, model)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
 def test_zero_dims_rejected():
     raw = bytearray(model_to_bytes(models()["cnn"]))
     struct.pack_into("<I", raw, 8, 0)  # vocab size

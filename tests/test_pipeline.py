@@ -192,11 +192,14 @@ def test_loaded_model_matches_in_process_training(tmp_path):
     assert loaded.sent_payloads == trained.sent_payloads
 
 
-def test_longest_transcripts_fit_the_output_buffer():
-    generator = GeneratorConfig(min_words=300, max_words=400)
-    config = PipelineConfig(seed=6, utterances=20, generator=generator)
+def test_frames_must_hold_the_symbol_budget():
+    generator = GeneratorConfig(min_words=20, max_words=29)  # budget 32 samples
+    with pytest.raises(ValueError):
+        PipelineConfig(generator=GeneratorConfig(max_words=30), frames_per_utterance=16)
+    config = PipelineConfig(seed=6, utterances=20, generator=generator, frames_per_utterance=16)
     result = run_pipeline(config, transport=RecordingTransport())
     assert result.metrics.processed == 20
+    assert [p.decode() for p in result.sent_payloads] == benign_texts(result)
 
 
 def test_ring_smaller_than_run_still_drains():
@@ -252,11 +255,11 @@ def test_transcribe_fault_aborts_in_transcribe_stage(monkeypatch):
     real = teeguard.pipeline.transcribe
     calls = []
 
-    def failing_transcribe(block, vocab):
+    def failing_transcribe(block, *args):
         calls.append(block)
         if len(calls) == 5:
             raise ValueError("decoder fault")
-        return real(block, vocab)
+        return real(block, *args)
 
     monkeypatch.setattr(teeguard.pipeline, "transcribe", failing_transcribe)
     transport = RecordingTransport()
@@ -306,7 +309,7 @@ def test_config_validation():
         PipelineConfig(cost_per_switch=-1)
     with pytest.raises(ValueError):
         PipelineConfig(frames_per_utterance=40000, capacity=40000)
-    with pytest.raises(ValueError):  # transcripts alone could overflow the buffer
+    with pytest.raises(ValueError):  # more word symbols than samples
         PipelineConfig(generator=GeneratorConfig(min_words=1, max_words=6000))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from teeguard import tee
 from teeguard.audio import encode_frames
-from teeguard.driver import EncodedBlock, SecureAudioDriver
+from teeguard.driver import FRAME_BYTES, HEADER, EncodedBlock, SecureAudioDriver
 from teeguard.pta import (
     CMD_GET_STATUS,
     CMD_READ_AUDIO,
@@ -45,10 +45,10 @@ def make_bridge(capacity=256, out_len=4096):
     return memory, driver, bridge, out_region, ctx
 
 
-def feed(driver, n, text=None):
+def feed(driver, n):
     samples = np.zeros((n, 2), dtype=np.int16)
     samples[:, 0] = np.arange(n, dtype=np.int16)
-    assert driver.ingest(encode_frames(samples), payload_text=text) == n
+    assert driver.ingest(encode_frames(samples)) == n
 
 
 def read_audio_cmd(session, out_region, out_len, n):
@@ -153,17 +153,17 @@ def test_invoke_costs_no_world_switches():
 
 def test_read_audio_delivers_block():
     memory, driver, bridge, out_region, ctx = make_bridge()
-    feed(driver, 20, text="open the door")
+    feed(driver, 20)
     session = bridge.open_session()
     resp = bridge.invoke(read_audio_cmd(session, out_region, 4096, 20), ctx)
     assert resp.status is PtaStatus.OK
     assert isinstance(resp.params[0], NoneParam)
     delivered = resp.params[1]
     assert delivered.a == 20
+    assert delivered.b == HEADER.size + 20 * FRAME_BYTES  # the PCM and nothing else
     base = memory.asc.region(out_region).base
     block = EncodedBlock.from_bytes(memory.read(tee.World.SECURE, base, delivered.b))
     assert block.frame_count == 20
-    assert block.attached_text == "open the door"
     assert np.frombuffer(block.payload, dtype="<i2")[::2].tolist() == list(range(20))
 
 

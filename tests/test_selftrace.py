@@ -10,6 +10,7 @@ the collector the pipelines talk to) is built before recording starts.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -26,7 +27,7 @@ import teeguard
 from teeguard import audio, cli, tcbtrace
 from teeguard.audio import GeneratorConfig, make_labeled_corpus
 from teeguard.cloud import MockCloud
-from teeguard.driver import SecureAudioDriver
+from teeguard.driver import EncodedBlock, SecureAudioDriver
 from teeguard.relay import FRAME_HEADER, RelayPacket, encode_frame
 from teeguard.sense import ARCHITECTURES, save_corpus
 
@@ -67,7 +68,8 @@ ALLOWED_UNREACHED = {
 # Removed layers and fixed knobs that commands would reach again if they came
 # back, so the self-trace alone would not flag their return.
 DELETED = {
-    "teeguard.audio": {"UnsupportedWidth", "_require_width"},
+    "teeguard.audio": {"UnsupportedWidth", "_require_width", "max_text_bytes"},
+    "teeguard.driver": {"_AnnexEntry", "_collect_annex"},
     "teeguard.pta": {"_error"},
     "teeguard.relay": {"Supplicant", "SupplicantOp", "SupplicantRequest"},
 }
@@ -263,3 +265,6 @@ def test_removed_layers_and_knobs_stay_removed():
         assert "word_length" not in inspect.signature(function).parameters
     driver_params = inspect.signature(SecureAudioDriver).parameters
     assert not {"region_id", "address_limit"} & set(driver_params)
+    # the transcript travels in the PCM only, never beside it
+    assert "payload_text" not in inspect.signature(SecureAudioDriver.ingest).parameters
+    assert "attached_text" not in {f.name for f in dataclasses.fields(EncodedBlock)}

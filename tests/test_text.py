@@ -1,10 +1,20 @@
-"""Word splitting, vocabulary construction, tokenization, transcription stub."""
+"""Word splitting, vocabulary construction, tokenization, and transcription
+from the word symbols in a block's PCM."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teeguard.driver import EncodedBlock
+from teeguard import tee
+from teeguard.audio import (
+    GeneratorConfig,
+    MicrophoneSource,
+    encode_frames,
+    lexicon,
+    symbol_budget,
+)
+from teeguard.driver import EncodedBlock, SecureAudioDriver
 from teeguard.sense.text import (
     UNKNOWN_INDEX,
     UNKNOWN_WORD,
@@ -98,26 +108,121 @@ def test_known_words_round_trip_through_tokens(texts):
 
 # -- transcription ------------------------------------------------------------
 
+LEXICON = ("password", "open", "the", "door")
+
+
+def block_of(samples, sequence=0):
+    """A block whose flat interleaved samples are `samples`, zero-padded to
+    whole frames."""
+    samples = list(samples) + [0] * (len(samples) % 2)
+    return EncodedBlock(sequence, len(samples) // 2, np.array(samples, dtype="<i2").tobytes())
+
 
 def block_with(text):
-    return EncodedBlock(0, 1, b"\x00\x00\x00\x00", text)
+    return block_of([LEXICON.index(word) + 1 for word in text.split()] + [0])
 
 
 def test_transcribe_returns_payload_and_tokens():
     vocab = Vocab({"open": 1, "the": 2, "door": 3})
-    result = transcribe(block_with("open the door"), vocab)
+    result = transcribe(block_with("open the door"), LEXICON, vocab)
     assert result.text == "open the door"
     assert result.tokens == (1, 2, 3)
 
 
 def test_transcribe_is_deterministic():
     vocab = Vocab.from_texts(["open the door"])
-    a = transcribe(block_with("open the door"), vocab)
-    b = transcribe(block_with("open the door"), vocab)
+    a = transcribe(block_with("open the door"), LEXICON, vocab)
+    b = transcribe(block_with("open the door"), LEXICON, vocab)
     assert a == b
 
 
 def test_transcribe_requires_payload():
     vocab = Vocab({})
     with pytest.raises(MissingPayload):
-        transcribe(block_with(""), vocab)
+        transcribe(block_with(""), LEXICON, vocab)
+
+
+def test_transcribe_stops_at_the_terminator():
+    vocab = Vocab({})
+    assert transcribe(block_of([2, 4, 0, 1, -7, 0]), LEXICON, vocab).text == "open door"
+
+
+def test_terminator_is_a_whole_zero_sample():
+    # 2 and 256 are the bytes 02 00 00 01: a zero pair that is no sample
+    words = [f"w{i}" for i in range(300)]
+    assert transcribe(block_of([2, 256, 0]), words, Vocab({})).text == "w1 w255"
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [[2, 3, 4, 1], [], [2, 5, 0, 0], [2, -1, 0, 0], [0, 2]],
+    ids=["no-terminator", "no-samples", "past-lexicon", "negative", "empty-transcript"],
+)
+def test_undecodable_blocks_raise_missing_payload(samples):
+    with pytest.raises(MissingPayload):
+        transcribe(block_of(samples), LEXICON, Vocab({}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(-2, 6), st.integers(-32768, 32767)), max_size=24))
+def test_noise_decodes_to_lexicon_words_or_missing_payload(samples):
+    try:
+        result = transcribe(block_of(samples), LEXICON, Vocab({}))
+    except MissingPayload:
+        return
+    assert result.text.split() and set(result.text.split()) <= set(LEXICON)
+
+
+# -- the sealed route: microphone, I2S, ring, transcript -------------------------
+
+
+def sealed_ring(capacity):
+    asc = tee.AddressSpaceController()
+    memory = tee.Memory(asc)
+    return memory, SecureAudioDriver(asc, memory, capacity), tee.WorldContext()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    keywords=st.lists(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
+                      min_size=1, max_size=4, unique=True),
+    sensitivity=st.floats(0.0, 1.0),
+    vocab_size=st.integers(1, 120),
+    min_words=st.integers(1, 6),
+    extra_words=st.integers(0, 8),
+    spare_frames=st.integers(0, 20),
+)
+def test_payload_text_survives_the_sealed_route(
+    seed, keywords, sensitivity, vocab_size, min_words, extra_words, spare_frames
+):
+    config = GeneratorConfig(
+        keywords=tuple(keywords), sensitivity=sensitivity, vocab_size=vocab_size,
+        min_words=min_words, max_words=min_words + extra_words,
+    )
+    n = (symbol_budget(config) + 1) // 2 + spare_frames
+    words = lexicon(config)
+    vocab = Vocab.from_texts([" ".join(words)])
+    memory, driver, ctx = sealed_ring(capacity=n + 7)  # successive utterances wrap the ring
+    mic = MicrophoneSource(config, seed)
+    for _ in range(3):
+        utt = mic.capture(n)
+        assert driver.ingest(encode_frames(utt.frames)) == n
+        block = driver.read_block(n, tee.World.SECURE, ctx)
+        assert transcribe(block, words, vocab).text == utt.payload_text
+
+
+def test_transcript_is_read_from_the_sealed_ring():
+    config = GeneratorConfig()
+    words = lexicon(config)
+    memory, driver, ctx = sealed_ring(capacity=64)
+    utt = MicrophoneSource(config, seed=9).capture(16)
+    driver.ingest(encode_frames(utt.frames))
+    spoken = utt.payload_text.split()
+    other = next(word for word in words if word != spoken[0])
+    base, length = driver.buffer_range
+    memory.write(tee.World.SECURE, base, np.array([words.index(other) + 1], "<i2").tobytes())
+    with pytest.raises(tee.AccessViolation):
+        memory.read(tee.World.NORMAL, base, length)
+    block = driver.read_block(16, tee.World.SECURE, ctx)
+    assert transcribe(block, words, Vocab({})).text.split() == [other] + spoken[1:]

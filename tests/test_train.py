@@ -24,9 +24,9 @@ from teeguard.words import Label
 CORPUS = make_labeled_corpus(GeneratorConfig(), seed=0, count=20)
 
 
-def flat_bias_cnn(bias):
+def flat_bias_cnn(bias, vocab_size=4):
     return CnnModel(
-        embedding=np.zeros((4, 2)),
+        embedding=np.zeros((vocab_size, 2)),
         conv_filters=np.zeros((1, 1, 2)),
         fc_weights=np.zeros(1),
         fc_bias=np.array(bias),
@@ -134,6 +134,14 @@ def test_score_below_threshold_is_benign():
     verdict = classify(flat_bias_cnn(bias), [1, 2], threshold=0.5)
     assert verdict.score == pytest.approx(0.49)
     assert verdict.label is Label.BENIGN
+
+
+def test_nan_score_is_sensitive():
+    vocab = Vocab.from_texts(["my password is secret"])
+    tokens = tokenize("my password is secret", vocab)
+    verdict = classify(flat_bias_cnn(np.nan, vocab.size), tokens, threshold=0.5)
+    assert math.isnan(verdict.score)
+    assert verdict.label is Label.SENSITIVE
 
 
 def test_threshold_must_be_strictly_interior():
