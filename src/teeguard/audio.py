@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import Label, keyword_label
+from .words import Label, keyword_label, split_words
 
 SAMPLE_MIN = -32768
 SAMPLE_MAX = 32767
@@ -147,6 +147,10 @@ class GeneratorConfig:
             raise ValueError("vocab_size must be positive")
         if len(self.keywords) + self.vocab_size > SAMPLE_MAX:
             raise ValueError("every lexicon symbol must fit a positive int16 sample")
+        # keyword_label matches whole split_words tokens: "clé" splits to "cl"
+        unmatched = [k for k in self.keywords if split_words(k) != [k.lower()]]
+        if unmatched:
+            raise ValueError(f"each keyword must be one ASCII alphanumeric word: {unmatched}")
 
 
 def filler_vocabulary(config: GeneratorConfig) -> list[str]:

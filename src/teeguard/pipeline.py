@@ -172,7 +172,8 @@ def build_classifier(
     if cc.model_path is not None:
         model = load_model(cc.model_path)
         corpus = load_corpus(cc.corpus_path)
-        vocab = Vocab.from_texts([text for text, _ in corpus], cc.train.vocab_size)
+        # sized as the model was trained, so this is the training vocabulary
+        vocab = Vocab.from_texts([text for text, _ in corpus], model.vocab_size)
     else:
         corpus = make_labeled_corpus(config.generator, cc.train.seed, cc.train_utterances)
         result = train(cc.architecture, corpus, cc.train)

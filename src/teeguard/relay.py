@@ -243,7 +243,8 @@ class SecureChannel:
 
         Costs exactly two world switches: out to the normal world for the
         transport's exchange, back to the secure world afterwards, error or
-        not.
+        not.  The acknowledgement is parsed after the switch back, in the
+        secure world that acts on it.
         """
         if not self._connected:
             raise NotConnected("channel has no open connection")
@@ -251,12 +252,12 @@ class SecureChannel:
         ctx.world_switch(World.NORMAL)
         try:
             raw = self._transport.exchange(frame)
-            try:
-                sequence, status = decode_ack(raw)
-            except FrameError as exc:
-                raise TransportError(f"unreadable acknowledgement: {exc}") from None
         finally:
             ctx.world_switch(World.SECURE)
+        try:
+            sequence, status = decode_ack(raw)
+        except FrameError as exc:
+            raise TransportError(f"unreadable acknowledgement: {exc}") from None
         if sequence != packet.sequence and status == ACK_OK:
             raise TransportError(
                 f"acknowledgement for sequence {sequence}, expected {packet.sequence}"

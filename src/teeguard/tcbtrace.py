@@ -2,19 +2,19 @@
 
 Traces are flat text, one event per line: ``<timestamp> <E|X> <function>
 <task>``.  `task_graphs` reads a trace in one pass: a scanner checks each
-line and hands it straight to a per-task stack replay, which rebuilds the
-dynamic call graph without keeping per-event objects.  A bad trace raises
-`ParseError` at its first bad line, else `UnbalancedTrace` if a task never
-exits a call, else `MismatchedExit` for the first task to appear that exits
-a function not on top of its stack.  The union of nodes reachable from the
-selected tasks' roots is the set a build must keep, and everything else in
+line and hands it straight to a per-task stack replay, which records the
+functions each task entered without keeping per-event objects.  A bad trace
+raises `ParseError` at its first bad line, else `UnbalancedTrace` if a task
+never exits a call, else `MismatchedExit` for the first task to appear that
+exits a function not on top of its stack.  The union of the functions the
+selected tasks entered is the set a build must keep, and everything else in
 the inventory gets an exclusion directive.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,8 +70,8 @@ class TraceEvent:
 
 _DIRECTIONS = {d.value: d for d in Direction}
 _Row = tuple[int, Direction, str, str]  # timestamp, direction, function, task
-# A task's replay state: the calls still open, nodes, edge call counts, roots.
-_TaskState = tuple[list[str], set[str], dict[tuple[str, str], int], set[str]]
+# A task's replay state: the calls still open and the functions entered.
+_TaskState = tuple[list[str], set[str]]
 
 
 def _scan(text: str) -> Iterator[_Row]:
@@ -118,15 +118,9 @@ def _replay(rows: Iterable[_Row]) -> tuple[dict[str, _TaskState], dict[str, str]
     mismatches: dict[str, str] = {}
     enter = Direction.ENTER
     for _, direction, function, task in rows:
-        state = tasks.get(task) or tasks.setdefault(task, ([], set(), {}, set()))
-        stack, nodes, edges, roots = state
+        stack, entered = tasks.get(task) or tasks.setdefault(task, ([], set()))
         if direction is enter:
-            nodes.add(function)
-            if stack:
-                key = (stack[-1], function)
-                edges[key] = edges.get(key, 0) + 1
-            else:
-                roots.add(function)
+            entered.add(function)
             stack.append(function)
         elif stack and stack[-1] == function:
             stack.pop()
@@ -154,68 +148,34 @@ def parse_trace(text: str) -> list[TraceEvent]:
     return [TraceEvent(*row) for row in rows]
 
 
-@dataclass(frozen=True)
-class CallGraph:
-    nodes: frozenset[str]
-    edges: dict[tuple[str, str], int]
-    roots: frozenset[str]
-
-    def __post_init__(self) -> None:
-        for (caller, callee), count in self.edges.items():
-            if caller not in self.nodes or callee not in self.nodes:
-                raise ValueError(f"edge ({caller}, {callee}) endpoint is not a node")
-            if count < 1:
-                raise ValueError("call counts must be at least 1")
-        if not self.roots <= self.nodes:
-            raise ValueError("roots must be nodes")
-
-
-def _task_graphs(tasks: dict[str, _TaskState], mismatches: dict[str, str]) -> dict[str, CallGraph]:
-    """One graph per replayed task; the first task with a mismatched exit raises."""
+def _entered(tasks: dict[str, _TaskState], mismatches: dict[str, str]) -> dict[str, frozenset[str]]:
+    """Each replayed task's entered functions; the first task with a
+    mismatched exit raises."""
     for task in tasks:
         if task in mismatches:
             raise MismatchedExit(mismatches[task])
-    return {task: CallGraph(frozenset(nodes), edges, frozenset(roots))
-            for task, (_, nodes, edges, roots) in tasks.items()}
+    return {task: frozenset(entered) for task, (_, entered) in tasks.items()}
 
 
-def task_graphs(text: str) -> dict[str, CallGraph]:
-    """Per-task call graphs of one trace, read in a single pass; errors come
-    in the order the module docstring gives."""
+def task_graphs(text: str) -> dict[str, frozenset[str]]:
+    """The functions each task of one trace entered, read in a single pass;
+    errors come in the order the module docstring gives."""
     tasks, mismatches = _replay(_scan(text))
     _check_balance(tasks)
-    return _task_graphs(tasks, mismatches)
+    return _entered(tasks, mismatches)
 
 
-def build_task_graphs(events: Iterable[TraceEvent]) -> dict[str, CallGraph]:
-    return _task_graphs(*_replay((e.timestamp, e.direction, e.function, e.task) for e in events))
+def build_task_graphs(events: Iterable[TraceEvent]) -> dict[str, frozenset[str]]:
+    return _entered(*_replay((e.timestamp, e.direction, e.function, e.task) for e in events))
 
 
-def reachable(graph: CallGraph) -> set[str]:
-    """Breadth-first closure of the roots over the call edges."""
-    seen = set(graph.roots)
-    frontier = list(graph.roots)
-    adjacency: dict[str, list[str]] = {}
-    for caller, callee in graph.edges:
-        adjacency.setdefault(caller, []).append(callee)
-    while frontier:
-        nxt = []
-        for fn in frontier:
-            for callee in adjacency.get(fn, ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    nxt.append(callee)
-        frontier = nxt
-    return seen
-
-
-def minimal_set(graphs: Mapping[str, CallGraph], tasks: Iterable[str]) -> set[str]:
-    """Union of functions reachable from the selected tasks' roots."""
+def minimal_set(graphs: Mapping[str, Set[str]], tasks: Iterable[str]) -> set[str]:
+    """Union of the functions the selected tasks entered."""
     required: set[str] = set()
     for task in tasks:
         if task not in graphs:
             raise UnknownTask(task)
-        required |= reachable(graphs[task])
+        required |= graphs[task]
     return required
 
 
@@ -271,34 +231,15 @@ def render_report(report: ExclusionReport) -> str:
     return "\n".join(lines)
 
 
-def merge_graphs(graph_sets: Iterable[Mapping[str, CallGraph]]) -> dict[str, CallGraph]:
-    """Union per-task graphs from several traces: nodes and roots are joined
-    and edge call counts added.  A task seen in one trace keeps its graph."""
-    graphs: dict[str, CallGraph] = {}
-    for per_task in graph_sets:
-        for task, graph in per_task.items():
-            prior = graphs.get(task)
-            if prior is None:
-                graphs[task] = graph
-                continue
-            edges = dict(prior.edges)
-            for key, count in graph.edges.items():
-                edges[key] = edges.get(key, 0) + count
-            graphs[task] = CallGraph(
-                nodes=prior.nodes | graph.nodes,
-                edges=edges,
-                roots=prior.roots | graph.roots,
-            )
-    return graphs
-
-
 def analyze(
     trace_texts: Iterable[str], inventory: Iterable[str], tasks: Sequence[str] | None = None
 ) -> ExclusionReport:
-    """Whole-module convenience: read each trace in one pass into per-task
-    graphs, merge them, take the minimal set for `tasks` (default: every
-    traced task), emit the report."""
-    graphs = merge_graphs(task_graphs(text) for text in trace_texts)
-    selected = list(tasks) if tasks is not None else sorted(graphs)
-    required = minimal_set(graphs, selected)
-    return emit_report(inventory, required)
+    """Whole-module convenience: read each trace in one pass, union each
+    task's entered functions across the traces, take the minimal set for
+    `tasks` (default: every traced task), emit the report."""
+    entered: dict[str, set[str]] = {}
+    for text in trace_texts:
+        for task, functions in task_graphs(text).items():
+            entered.setdefault(task, set()).update(functions)
+    selected = list(tasks) if tasks is not None else sorted(entered)
+    return emit_report(inventory, minimal_set(entered, selected))

@@ -1,5 +1,7 @@
 """Serial audio codec and the synthetic microphone corpus generator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,7 +271,7 @@ def test_word_counts_respect_bounds():
 
 def test_symbol_budget_bounds_every_utterance():
     config = GeneratorConfig(
-        keywords=("cl\u00e9", "pin"), sensitivity=1.0, vocab_size=5, min_words=3, max_words=3
+        keywords=("password", "pin"), sensitivity=1.0, vocab_size=5, min_words=3, max_words=3
     )
     assert symbol_budget(config) == 3 + 2 + 1
     words = lexicon(config)
@@ -312,6 +314,20 @@ def test_filler_vocabulary_pads_past_base_list():
     vocab = filler_vocabulary(GeneratorConfig(vocab_size=100))
     assert len(vocab) == 100
     assert len(set(vocab)) == 100
+
+
+@pytest.mark.parametrize("keyword", ["credit card", "e-mail", "cl\u00e9"])
+def test_keywords_the_keyword_rule_would_split_are_rejected(keyword):
+    # the rule compares whole split_words tokens, so these never matched and
+    # half of the utterances that said them were labelled benign
+    with pytest.raises(ValueError, match=re.escape(repr(keyword))):
+        GeneratorConfig(keywords=(keyword, "pin"))
+
+
+def test_uppercase_keywords_are_matched():
+    config = GeneratorConfig(keywords=("PIN",), sensitivity=1.0)
+    corpus = make_labeled_corpus(config, 1, 40)
+    assert {label for _, label in corpus} == {Label.SENSITIVE}
 
 
 def test_generator_config_validation():

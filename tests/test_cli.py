@@ -1,5 +1,6 @@
 """Command-line entry points, exercised through main() and one real process."""
 
+import hashlib
 import json
 import os
 import signal
@@ -187,6 +188,17 @@ def test_trace_prints_the_analyze_report(capsys):
     assert capsys.readouterr().out == render_report(report) + "\n"
 
 
+@pytest.mark.parametrize(("tasks", "digest"), [
+    (["--tasks", "record"], "14cbbf9b1a5dfba58c5eaef3f36800b8d5f2c0cd9345cc7486dc7afa2a8f214f"),
+    ([], "ecf1664525ab9dd761fa60cfa1de877dda0eb0635b109e5e2243deb992f42b8b"),
+])
+def test_trace_report_bytes_are_pinned(tasks, digest, capsys):
+    # sha256 of the whole stdout, so any change to the report's bytes shows
+    argv = ["trace", str(DATA / "session.trace"), "--inventory", str(DATA / "inventory.txt")]
+    assert main(argv + tasks) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_trace_parse_error_names_file(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text("123 E. broken\n")
@@ -287,6 +299,12 @@ def test_pipeline_missing_config_file_errors(tmp_path, capsys):
     code = main(["pipeline", "--config", str(missing)])
     assert code == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def test_pipeline_rejects_a_keyword_the_rule_would_split(capsys):
+    code = main(["pipeline", "--keywords", "credit card,pin", "--utterances", "1"])
+    assert code == 2
+    assert "'credit card'" in capsys.readouterr().err
 
 
 def test_bad_endpoint_rejected_by_parser(capsys):

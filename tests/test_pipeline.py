@@ -14,6 +14,7 @@ from teeguard.pipeline import (
     PipelineConfig,
     PipelineError,
     RunMetrics,
+    build_classifier,
     run_pipeline,
 )
 from teeguard.relay import (
@@ -190,6 +191,24 @@ def test_loaded_model_matches_in_process_training(tmp_path):
     )
     assert loaded.log.render() == trained.log.render()
     assert loaded.sent_payloads == trained.sent_payloads
+
+
+def test_loaded_model_sizes_the_vocabulary_from_the_file(tmp_path):
+    # trained smaller than ClassifierConfig's default vocabulary, which the
+    # rebuilt vocabulary used to take: "token index outside [0, 40)"
+    corpus = make_labeled_corpus(GeneratorConfig(), 0, 120)
+    result = train("cnn", corpus, TrainConfig(learning_rate=1.0, epochs=5, seed=0, vocab_size=40))
+    assert result.model.vocab_size == 40
+    save_model(tmp_path / "cnn.bin", result.model)
+    save_corpus(tmp_path / "corpus.tsv", corpus)
+    classifier = ClassifierConfig(
+        architecture="cnn",
+        model_path=str(tmp_path / "cnn.bin"),
+        corpus_path=str(tmp_path / "corpus.tsv"),
+    )
+    config = PipelineConfig(seed=4, utterances=20, classifier=classifier)
+    assert build_classifier(config)[0] == result.vocab
+    assert run_pipeline(config, transport=RecordingTransport()).metrics.processed == 20
 
 
 def test_frames_must_hold_the_symbol_budget():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from teeguard import relay
 from teeguard.relay import (
     ACK_MALFORMED,
     ACK_OK,
@@ -198,6 +199,34 @@ def test_sent_bytes_are_the_marshaled_frames():
     for packet in packets:
         channel.send(packet, ctx)
     assert transport.sent == [encode_frame(p) for p in packets]
+
+
+def test_the_secure_world_parses_the_ack(monkeypatch):
+    transport, channel, ctx = make_channel()
+    worlds = []
+
+    def watched_decode_ack(raw):
+        worlds.append(ctx.current)
+        return decode_ack(raw)
+
+    monkeypatch.setattr(relay, "decode_ack", watched_decode_ack)
+    assert channel.send(RelayPacket(0, 0, b"x"), ctx) == ACK_OK
+    assert worlds == [World.SECURE]
+
+
+def test_unreadable_ack_still_costs_two_switches():
+    class ShortAckTransport(RecordingTransport):
+        def exchange(self, frame):
+            return super().exchange(frame)[:-1]
+
+    transport = ShortAckTransport()
+    channel = SecureChannel(transport)
+    channel.connect(("t", 0))
+    ctx = WorldContext(current=World.SECURE)
+    with pytest.raises(TransportError, match="unreadable acknowledgement"):
+        channel.send(RelayPacket(0, 0, b"p"), ctx)
+    assert ctx.switch_count == 2
+    assert ctx.current is World.SECURE
 
 
 def test_mismatched_ack_sequence_detected():

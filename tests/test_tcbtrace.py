@@ -1,4 +1,5 @@
-"""Trace parsing, call-graph replay, and exclusion report generation."""
+"""Trace parsing, the replay of the functions each task entered, and exclusion
+report generation."""
 
 import tracemalloc
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teeguard.tcbtrace import (
-    CallGraph,
     Direction,
     MismatchedExit,
     ParseError,
@@ -19,10 +19,8 @@ from teeguard.tcbtrace import (
     build_task_graphs,
     directive_for,
     emit_report,
-    merge_graphs,
     minimal_set,
     parse_trace,
-    reachable,
     render_report,
     task_graphs,
 )
@@ -151,20 +149,15 @@ def test_parse_render_identity(text):
     assert parse_trace("\n".join(rendered)) == events
 
 
-# -- graph building -----------------------------------------------------------
+# -- entered sets ------------------------------------------------------------
 
 
-def test_nested_calls_build_chain():
-    graph = task_graphs(NESTED)["main"]
-    assert graph.nodes == {"a", "b", "c"}
-    assert graph.edges == {("a", "b"): 1, ("b", "c"): 1}
-    assert graph.roots == {"a"}
+def test_nested_calls_are_all_entered():
+    assert task_graphs(NESTED) == {"main": {"a", "b", "c"}}
 
 
 def test_sibling_roots():
-    graph = task_graphs("1 E a t\n2 X a t\n3 E b t\n4 X b t\n")["t"]
-    assert graph.roots == {"a", "b"}
-    assert graph.edges == {}
+    assert task_graphs("1 E a t\n2 X a t\n3 E b t\n4 X b t\n") == {"t": {"a", "b"}}
 
 
 def test_empty_graph():
@@ -172,17 +165,14 @@ def test_empty_graph():
     assert build_task_graphs([]) == {}
 
 
-def test_repeated_calls_are_counted():
+def test_repeated_calls_enter_once():
     text = "1 E a t\n2 E b t\n3 X b t\n4 E b t\n5 X b t\n6 X a t\n"
-    graph = task_graphs(text)["t"]
-    assert graph.edges == {("a", "b"): 2}
+    assert task_graphs(text) == {"t": {"a", "b"}}
 
 
-def test_recursion_builds_self_edge():
+def test_recursion_enters_once():
     text = "1 E a t\n2 E a t\n3 X a t\n4 X a t\n"
-    graph = task_graphs(text)["t"]
-    assert graph.edges == {("a", "a"): 1}
-    assert graph.roots == {"a"}
+    assert task_graphs(text) == {"t": {"a"}}
 
 
 def test_mismatched_exit_detected_at_build():
@@ -232,35 +222,12 @@ def test_mismatch_precedence_between_tasks():
 def test_tasks_do_not_share_stacks():
     text = "1 E a t1\n1 E b t2\n2 E c t1\n3 X c t1\n4 X a t1\n5 X b t2\n"
     per_task = build_task_graphs(parse_trace(text))
-    assert set(per_task) == {"t1", "t2"}
-    assert per_task["t1"].roots == {"a"}
-    assert per_task["t1"].edges == {("a", "c"): 1}
-    assert per_task["t2"].roots == per_task["t2"].nodes == {"b"}
+    assert per_task == {"t1": {"a", "c"}, "t2": {"b"}}
+    assert list(per_task) == ["t1", "t2"]
     assert per_task == task_graphs(text)
 
 
-def test_callgraph_validation():
-    with pytest.raises(ValueError):
-        CallGraph(frozenset({"a"}), {("a", "b"): 1}, frozenset({"a"}))
-    with pytest.raises(ValueError):
-        CallGraph(frozenset({"a", "b"}), {("a", "b"): 0}, frozenset({"a"}))
-    with pytest.raises(ValueError):
-        CallGraph(frozenset({"a"}), {}, frozenset({"z"}))
-
-
-# -- reachability and the minimal set ---------------------------------------------
-
-
-def diamond():
-    text = (
-        "1 E a t\n2 E b t\n3 E d t\n4 X d t\n5 X b t\n"
-        "6 E c t\n7 E d t\n8 X d t\n9 X c t\n10 X a t\n"
-    )
-    return task_graphs(text)["t"]
-
-
-def test_reachable_covers_diamond():
-    assert reachable(diamond()) == {"a", "b", "c", "d"}
+# -- the minimal set ---------------------------------------------------------
 
 
 def test_minimal_set_unions_selected_tasks():
@@ -280,20 +247,20 @@ def test_minimal_set_unions_selected_tasks():
 @settings(max_examples=150)
 @given(balanced_trace())
 def test_every_entered_function_is_required(text):
-    # each entered function sits on a call chain rooted at a task root, so
-    # selecting every task must recover exactly the entered set
+    # selecting every task must recover exactly the entered set, and each
+    # task's set holds exactly what that task entered
     events = parse_trace(text)
     graphs = build_task_graphs(events)
     required = minimal_set(graphs, list(graphs))
     entered = {e.function for e in events if e.direction is Direction.ENTER}
     assert required == entered
-    for task, graph in graphs.items():
+    for task, functions in graphs.items():
         per_task = {
             e.function
             for e in events
             if e.direction is Direction.ENTER and e.task == task
         }
-        assert reachable(graph) == per_task
+        assert functions == per_task
 
 
 # -- reports ------------------------------------------------------------------
@@ -361,22 +328,6 @@ def test_analyze_merges_traces_and_selects_tasks():
     assert report.excluded == {"d", "e"}
     by_default = analyze([first, second], ["a", "b", "c", "d", "e"])
     assert by_default.required == {"a", "b", "c", "d"}
-
-
-def test_merge_graphs_unions_nodes_and_adds_call_counts():
-    first = build_task_graphs(parse_trace("1 E a rec\n2 E b rec\n3 X b rec\n4 X a rec\n"))
-    second = build_task_graphs(
-        parse_trace("1 E a rec\n2 E b rec\n3 X b rec\n4 E c rec\n5 X c rec\n6 X a rec\n"
-                    "1 E d net\n2 X d net\n")
-    )
-    merged = merge_graphs([first, second])
-    assert sorted(merged) == ["net", "rec"]
-    assert merged["rec"].nodes == {"a", "b", "c"}
-    assert merged["rec"].edges == {("a", "b"): 2, ("a", "c"): 1}
-    assert merged["rec"].roots == {"a"}
-    assert merged["net"] is second["net"]  # a task seen once keeps its graph
-    assert merge_graphs([first]) == first
-    assert merge_graphs([]) == {}
 
 
 def test_analyze_memory_stays_within_a_few_times_the_text():
