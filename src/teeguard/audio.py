@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import Label, keyword_label, split_words
+from .words import Label, keyword_label, keyword_set
 
 SAMPLE_MIN = -32768
 SAMPLE_MAX = 32767
@@ -147,8 +147,10 @@ class GeneratorConfig:
             raise ValueError("vocab_size must be positive")
         if len(self.keywords) + self.vocab_size > SAMPLE_MAX:
             raise ValueError("every lexicon symbol must fit a positive int16 sample")
-        # keyword_label matches whole split_words tokens: "clé" splits to "cl"
-        unmatched = [k for k in self.keywords if split_words(k) != [k.lower()]]
+        # keyword_label matches whole split_words tokens, so it never matches
+        # "clé" (it splits to "cl") or "credit card"; a keyword it does match
+        # is exactly one token
+        unmatched = [k for k in self.keywords if keyword_label(k, (k,)) is Label.BENIGN]
         if unmatched:
             raise ValueError(f"each keyword must be one ASCII alphanumeric word: {unmatched}")
 
@@ -181,6 +183,9 @@ class _TextSampler:
         self.config = config
         self.rng = rng
         self.filler = filler_vocabulary(config)
+        # every keyword and filler word is one split_words token, so the
+        # keyword rule labels the joined words by their lowercase forms alone
+        self.keywords = keyword_set(config.keywords)
 
     def sample(self) -> tuple[list[str], Label]:
         cfg = self.config
@@ -193,7 +198,9 @@ class _TextSampler:
                 keyword = cfg.keywords[int(self.rng.integers(0, len(cfg.keywords)))]
                 position = int(self.rng.integers(0, len(words) + 1))
                 words.insert(position, keyword)
-        return words, keyword_label(" ".join(words), cfg.keywords)
+        if self.keywords.isdisjoint([word.lower() for word in words]):
+            return words, Label.BENIGN
+        return words, Label.SENSITIVE
 
 
 @dataclass

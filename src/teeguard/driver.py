@@ -50,11 +50,9 @@ class EncodedBlock:
     def payload_length(self) -> int:
         return len(self.payload)
 
-    def to_bytes(self) -> bytes:
-        header = HEADER.pack(
-            BLOCK_MAGIC, self.sequence, self.frame_count, self.payload_length
-        )
-        return header + self.payload
+    def header(self) -> bytes:
+        """The wire image's header; the payload follows it unchanged."""
+        return HEADER.pack(BLOCK_MAGIC, self.sequence, self.frame_count, self.payload_length)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodedBlock":

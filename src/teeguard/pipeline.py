@@ -47,6 +47,7 @@ from .relay import (
     apply_policy,
 )
 from .sense import (
+    SymbolTable,
     TrainConfig,
     Transcript,
     Verdict,
@@ -57,7 +58,7 @@ from .sense import (
     train,
     transcribe,
 )
-from .words import ARCHITECTURE_CHOICES, Label, keyword_label
+from .words import ARCHITECTURE_CHOICES, Label, keyword_set, split_words
 
 
 class PipelineError(RuntimeError):
@@ -159,13 +160,16 @@ def build_classifier(
     cc = config.classifier
     threshold = config.policy.threshold
     if cc.architecture == "oracle":
-        keywords = config.generator.keywords
+        # keyword_label's rule, with the keyword set and both verdicts built once
+        keywords = keyword_set(config.generator.keywords)
+        hit, miss = (
+            Verdict(score=score, label=Label.SENSITIVE if score >= threshold else Label.BENIGN,
+                    threshold=threshold)
+            for score in (1.0, 0.0)
+        )
 
         def oracle_verdict(transcript: Transcript) -> Verdict:
-            hit = keyword_label(transcript.text, keywords) is Label.SENSITIVE
-            score = 1.0 if hit else 0.0
-            label = Label.SENSITIVE if score >= threshold else Label.BENIGN
-            return Verdict(score=score, label=label, threshold=threshold)
+            return miss if keywords.isdisjoint(split_words(transcript.text)) else hit
 
         return _oracle_vocab(config.generator), oracle_verdict
 
@@ -191,7 +195,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
     relay.  Any error aborts the run with the failing stage named."""
     try:
         vocab, verdict_fn = build_classifier(config)
-        lexicon_words = lexicon(config.generator)
+        symbols = SymbolTable(lexicon(config.generator), vocab)
         asc = tee.AddressSpaceController()
         memory = tee.Memory(asc)
         driver = SecureAudioDriver(asc, memory, config.capacity)
@@ -200,6 +204,10 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
         out_len = _block_bound(config)
         out_base = asc.find_free_range(out_len, 1 << 24)
         out_region = asc.carve_secure_region(out_base, out_len)
+        count = config.frames_per_utterance
+        read_cmd = PtaCommand(
+            session, CMD_READ_AUDIO, (MemRefParam(out_region, 0, out_len), ValueParam(count))
+        )
         ctx = tee.WorldContext(cost_per_switch=config.cost_per_switch)
         channel = SecureChannel(transport if transport is not None else TcpTransport())
         channel.connect(config.endpoint)
@@ -210,7 +218,6 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
     log = RedactionLog()
     utterances: list[tuple[str, Label]] = []
     sent_payloads: list[bytes] = []
-    count = config.frames_per_utterance
 
     try:
         stage = "capture"
@@ -229,18 +236,13 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
 
                 started = time.perf_counter()
                 stage = "read"
-                cmd = PtaCommand(
-                    session,
-                    CMD_READ_AUDIO,
-                    (MemRefParam(out_region, 0, out_len), ValueParam(count)),
-                )
-                resp = bridge.invoke(cmd, ctx)
+                resp = bridge.invoke(read_cmd, ctx)
                 if resp.status is not PtaStatus.OK:
                     raise RuntimeError(f"read command returned {resp.status.name}")
                 written = resp.params[1].b
                 block = EncodedBlock.from_bytes(memory.read(tee.World.SECURE, out_base, written))
                 stage = "transcribe"
-                transcript = transcribe(block, lexicon_words, vocab)
+                transcript = transcribe(block, symbols)
                 stage = "classify"
                 verdict = verdict_fn(transcript)
                 stage = "filter"

@@ -12,6 +12,9 @@ Wire format (little-endian throughout):
 Commands:
     CMD_READ_AUDIO (0x01): in  slot0 = memref(out buffer), slot1 = value(a=n frames)
                            out slot1 = value(a=frames delivered, b=bytes written)
+        The out buffer must lie in a secure-only region (ACCESS_DENIED
+        otherwise) and must not be the driver's own ring (BAD_PARAMETERS).
+        Both are refused before the driver dequeues anything.
     CMD_GET_STATUS (0x02): out slot0 = value(a=occupancy), slot1 = value(a=overruns)
 
 A TA-to-bridge invoke stays inside the secure world and never counts as a
@@ -25,7 +28,7 @@ import struct
 from dataclasses import dataclass, field
 
 from . import tee
-from .driver import SecureAudioDriver, Underflow
+from .driver import HEADER, SecureAudioDriver, Underflow
 
 CMD_READ_AUDIO = 0x01
 CMD_GET_STATUS = 0x02
@@ -86,12 +89,13 @@ class MemRefParam:
 
 
 Param = NoneParam | ValueParam | MemRefParam
+_NONE = NoneParam()  # frozen, so every empty slot can share it
 
 
 def _pad_params(params: tuple[Param, ...]) -> tuple[Param, ...]:
     if len(params) > PARAM_SLOTS:
         raise ValueError(f"at most {PARAM_SLOTS} params")
-    return params + (NoneParam(),) * (PARAM_SLOTS - len(params))
+    return params + (_NONE,) * (PARAM_SLOTS - len(params))
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ def _decode_param(data: bytes) -> Param:
     if tag == _TAG_NONE:
         if data[4:] != bytes(8):
             raise WireError("none param carries nonzero payload")
-        return NoneParam()
+        return _NONE
     if tag == _TAG_VALUE:
         _, a, b = _PARAM_VALUE.unpack(data)
         return ValueParam(a, b)
@@ -224,6 +228,11 @@ class PtaBridge:
             region = self.memory.asc.region(memref.region_id)
         except tee.UnmappedAddress:
             return PtaResponse(PtaStatus.BAD_PARAMETERS)
+        if region.owner is not tee.RegionOwner.SECURE_ONLY:
+            # the normal world could read the raw block, transcript and all
+            return PtaResponse(PtaStatus.ACCESS_DENIED)
+        if region.id == self.driver.region_id:
+            return PtaResponse(PtaStatus.BAD_PARAMETERS)
         if memref.offset + memref.length > region.length:
             return PtaResponse(PtaStatus.BAD_PARAMETERS)
         try:
@@ -234,8 +243,8 @@ class PtaBridge:
             # Fails before the driver dequeues anything.
             return PtaResponse(PtaStatus.SHORT_BUFFER)
         block = self.driver.read_block(n, tee.World.SECURE, ctx)
-        data = block.to_bytes()
-        self.memory.write(tee.World.SECURE, region.base + memref.offset, data)
-        return PtaResponse(
-            PtaStatus.OK, (NoneParam(), ValueParam(block.frame_count, len(data)))
-        )
+        base = region.base + memref.offset
+        self.memory.write(tee.World.SECURE, base, block.header())
+        self.memory.write(tee.World.SECURE, base + HEADER.size, block.payload)
+        written = HEADER.size + block.payload_length
+        return PtaResponse(PtaStatus.OK, (_NONE, ValueParam(block.frame_count, written)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from ..driver import EncodedBlock
 from ..words import split_words
@@ -62,7 +63,19 @@ class Transcript:
     tokens: tuple[int, ...]
 
 
-def transcribe(block: EncodedBlock, lexicon: Sequence[str], vocab: Vocab) -> Transcript:
+class SymbolTable:
+    """What each word symbol transcribes to, worked out once per lexicon and
+    vocabulary: symbol s stands for ``words[s - 1]``, whose tokens are
+    ``tokens[s - 1]``.  A transcript joins its words with single spaces,
+    which split_words always splits on, so its tokens are its words' tokens
+    in turn: exactly ``tokenize(text, vocab)``."""
+
+    def __init__(self, lexicon: Sequence[str], vocab: Vocab) -> None:
+        self.words = tuple(lexicon)
+        self.tokens = tuple(tuple(tokenize(word, vocab)) for word in self.words)
+
+
+def transcribe(block: EncodedBlock, table: SymbolTable) -> Transcript:
     """Deterministic ASR stand-in: the block's leading samples are word
     symbols (lexicon position + 1) up to a 0 terminator."""
     payload = block.payload
@@ -74,7 +87,8 @@ def transcribe(block: EncodedBlock, lexicon: Sequence[str], vocab: Vocab) -> Tra
     symbols = struct.unpack_from(f"<{end // 2}h", payload)
     if not symbols:
         raise MissingPayload(f"block {block.sequence} has an empty transcript")
-    if min(symbols) < 1 or max(symbols) > len(lexicon):
+    if min(symbols) < 1 or max(symbols) > len(table.words):
         raise MissingPayload(f"block {block.sequence} has a symbol outside the lexicon")
-    text = " ".join([lexicon[s - 1] for s in symbols])
-    return Transcript(text, tuple(tokenize(text, vocab)))
+    words, tokens = table.words, table.tokens
+    text = " ".join([words[s - 1] for s in symbols])
+    return Transcript(text, tuple(chain.from_iterable([tokens[s - 1] for s in symbols])))

@@ -75,7 +75,7 @@ class MemoryRegion:
         return self.base + self.length
 
     def contains(self, base: int, length: int) -> bool:
-        return self.base <= base and base + length <= self.end
+        return self.base <= base and base + length <= self.base + self.length
 
     def intersects(self, base: int, length: int) -> bool:
         return base < self.end and self.base < base + length
@@ -96,18 +96,16 @@ class AddressSpaceController:
     """
 
     def __init__(self) -> None:
-        self._regions: dict[int, MemoryRegion] = {}
-        self._next_id = 0
+        self._regions: tuple[MemoryRegion, ...] = ()  # region i has id i
 
     @property
     def regions(self) -> tuple[MemoryRegion, ...]:
-        return tuple(self._regions.values())
+        return self._regions
 
     def region(self, region_id: int) -> MemoryRegion:
-        try:
+        if 0 <= region_id < len(self._regions):
             return self._regions[region_id]
-        except KeyError:
-            raise UnmappedAddress(f"no region r{region_id}") from None
+        raise UnmappedAddress(f"no region r{region_id}")
 
     def carve_secure_region(self, base: int, length: int) -> int:
         """Carve a secure-RAM region; returns the new region id."""
@@ -115,21 +113,20 @@ class AddressSpaceController:
 
     def map_region(self, base: int, length: int, owner: RegionOwner) -> int:
         _check_range(base, length)
-        for region in self._regions.values():
+        for region in self._regions:
             if region.intersects(base, length):
                 raise OverlapError(
                     f"[{base:#x}, +{length:#x}) intersects {region!r}"
                 )
-        region_id = self._next_id
-        self._next_id += 1
-        self._regions[region_id] = MemoryRegion(region_id, base, length, owner)
+        region_id = len(self._regions)
+        self._regions += (MemoryRegion(region_id, base, length, owner),)
         return region_id
 
     def find_free_range(self, length: int, limit: int) -> int:
         """First-fit base address for `length` bytes below `limit`, or RangeError."""
         _check_range(0, length)
         cursor = 0
-        for region in sorted(self._regions.values(), key=lambda r: r.base):
+        for region in sorted(self._regions, key=lambda r: r.base):
             if region.base - cursor >= length:
                 break
             cursor = max(cursor, region.end)
@@ -145,7 +142,7 @@ class AddressSpaceController:
         _check_range(base, length)
         if world is World.SECURE:
             return Decision.ALLOW
-        for region in self._regions.values():
+        for region in self._regions:
             if region.owner is RegionOwner.SECURE_ONLY and region.intersects(base, length):
                 return Decision.DENY
         return Decision.ALLOW
@@ -162,17 +159,15 @@ class Memory:
         self.asc = asc
         self._backing: dict[int, bytearray] = {}
 
-    def _ensure_backing(self, region: MemoryRegion) -> bytearray:
-        store = self._backing.get(region.id)
-        if store is None:
-            store = bytearray(region.length)
-            self._backing[region.id] = store
-        return store
-
-    def _locate(self, base: int, length: int) -> tuple[MemoryRegion, int]:
+    def _locate(self, base: int, length: int) -> tuple[bytearray, int]:
+        """Backing store of the one region holding the range, and the range's
+        offset in it.  A region gets its store on first access."""
         for region in self.asc.regions:
             if region.contains(base, length):
-                return region, base - region.base
+                store = self._backing.get(region.id)
+                if store is None:
+                    store = self._backing[region.id] = bytearray(region.length)
+                return store, base - region.base
         raise UnmappedAddress(
             f"range [{base:#x}, +{length:#x}) is not backed by a single region"
         )
@@ -182,18 +177,19 @@ class Memory:
             raise AccessViolation(
                 f"{world.name} world read of [{base:#x}, +{length:#x}) denied"
             )
-        region, offset = self._locate(base, length)
-        return bytes(memoryview(self._ensure_backing(region))[offset : offset + length])
+        store, offset = self._locate(base, length)
+        return bytes(memoryview(store)[offset : offset + length])
 
     def write(self, world: World, base: int, data: bytes) -> None:
-        if not data:
+        length = len(data)
+        if not length:
             return
-        if self.asc.check_access(world, base, len(data), AccessMode.WRITE) is Decision.DENY:
+        if self.asc.check_access(world, base, length, AccessMode.WRITE) is Decision.DENY:
             raise AccessViolation(
-                f"{world.name} world write of [{base:#x}, +{len(data):#x}) denied"
+                f"{world.name} world write of [{base:#x}, +{length:#x}) denied"
             )
-        region, offset = self._locate(base, len(data))
-        self._ensure_backing(region)[offset : offset + len(data)] = data
+        store, offset = self._locate(base, length)
+        store[offset : offset + length] = data
 
 
 @dataclass

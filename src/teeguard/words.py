@@ -27,9 +27,14 @@ def split_words(text: str) -> list[str]:
     return _WORD_RUN.findall(text.lower())
 
 
+def keyword_set(keywords: Iterable[str]) -> frozenset[str]:
+    """The lowercase keywords the ground-truth rule matches words against;
+    build it once where many texts are labeled."""
+    return frozenset(k.lower() for k in keywords)
+
+
 def keyword_label(text: str, keywords: Iterable[str]) -> Label:
     """Ground-truth rule: sensitive iff any word of `text` is a keyword."""
-    keyword_set = {k.lower() for k in keywords}
-    if any(word in keyword_set for word in split_words(text)):
-        return Label.SENSITIVE
-    return Label.BENIGN
+    if keyword_set(keywords).isdisjoint(split_words(text)):
+        return Label.BENIGN
+    return Label.SENSITIVE

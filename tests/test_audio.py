@@ -1,5 +1,6 @@
 """Serial audio codec and the synthetic microphone corpus generator."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -23,7 +24,7 @@ from teeguard.audio import (
     make_labeled_corpus,
     symbol_budget,
 )
-from teeguard.words import Label
+from teeguard.words import Label, keyword_label
 
 samples_st = st.integers(SAMPLE_MIN, SAMPLE_MAX)
 
@@ -242,6 +243,32 @@ def test_keyword_presence_sets_truth_label():
     for text, label in corpus:
         assert label is Label.SENSITIVE
         assert keywords & set(text.split())
+
+
+# sha256 of "label<TAB>text<NEWL>" over 10,000 samples, taken when the sampler
+# still labeled each utterance by splitting its joined text again
+CORPUS_DIGESTS = [
+    (GeneratorConfig(), 1,
+     "d66740a8a6e46abae16777a8ce8b525c08772c8d81ede35d6884bfbc2e466ad9"),
+    (GeneratorConfig(keywords=("PIN", "Secret", "ssn"), sensitivity=0.5, vocab_size=30), 2,
+     "6afd63110e011a491a461e92bb5d0dedea39e7f15494e8656c3d1784dfde3462"),
+    (GeneratorConfig(keywords=("password", "A1"), sensitivity=0.9, vocab_size=120,
+                     min_words=1, max_words=3), 3,
+     "74a5aee5ab328edc84f799ad24c6e46ca65ea2e7edfa967738c0138a9f164c87"),
+]
+
+
+@pytest.mark.parametrize("config, seed, expected", CORPUS_DIGESTS, ids=["default", "PIN", "short"])
+def test_labels_match_the_keyword_rule_on_the_joined_text(config, seed, expected):
+    corpus = make_labeled_corpus(config, seed, 10_000)
+    assert {label for _, label in corpus} == {Label.SENSITIVE, Label.BENIGN}
+    assert [label for _, label in corpus] == [
+        keyword_label(text, config.keywords) for text, _ in corpus
+    ]
+    digest = hashlib.sha256()
+    for text, label in corpus:
+        digest.update(f"{label.value}\t{text}\n".encode())
+    assert digest.hexdigest() == expected
 
 
 def test_zero_sensitivity_yields_only_benign():

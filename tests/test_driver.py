@@ -38,6 +38,11 @@ def tagged_stream(start, n):
     return encode_frames(samples)
 
 
+def image(block):
+    """The block's wire image, as the PTA writes it: header, then payload."""
+    return block.header() + block.payload
+
+
 # -- allocation --------------------------------------------------------------
 
 
@@ -222,7 +227,7 @@ def test_encoded_size_predicts_serialization():
     assert size == HEADER.size + 12 * FRAME_BYTES
     assert driver.occupancy() == 12  # preview must not consume
     block = driver.read_block(12, tee.World.SECURE, ctx)
-    assert len(block.to_bytes()) == size
+    assert len(image(block)) == size
     with pytest.raises(Underflow):
         driver.encoded_size(1)
 
@@ -232,13 +237,14 @@ def test_encoded_size_predicts_serialization():
 
 def test_block_round_trip():
     block = EncodedBlock(7, 3, b"\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00\x06\x00")
-    again = EncodedBlock.from_bytes(block.to_bytes())
+    again = EncodedBlock.from_bytes(image(block))
     assert again == block
 
 
 def test_block_header_layout():
     block = EncodedBlock(1, 1, b"\xaa\xbb\xcc\xdd")
-    raw = block.to_bytes()
+    assert block.header() == HEADER.pack(BLOCK_MAGIC, 1, 1, 4)
+    raw = image(block)
     assert raw[:4] == BLOCK_MAGIC
     assert len(raw) == HEADER.size + 4
 
@@ -247,13 +253,13 @@ def test_block_header_layout():
 def test_block_round_trip_property(sequence, n):
     payload = np.arange(2 * n, dtype="<i2").tobytes()
     block = EncodedBlock(sequence, n, payload)
-    raw = block.to_bytes()
+    raw = image(block)
     assert len(raw) == HEADER.size + n * FRAME_BYTES
     assert EncodedBlock.from_bytes(raw) == block
 
 
 def test_malformed_blocks_rejected():
-    good = EncodedBlock(0, 2, b"\x00" * 8).to_bytes()
+    good = image(EncodedBlock(0, 2, b"\x00" * 8))
     with pytest.raises(MalformedBlock):
         EncodedBlock.from_bytes(good[: HEADER.size - 1])
     with pytest.raises(MalformedBlock):

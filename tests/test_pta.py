@@ -229,6 +229,33 @@ def test_bad_parameters():
     assert driver.occupancy() == 5
 
 
+@pytest.mark.parametrize(
+    "owner", [tee.RegionOwner.SHARED, tee.RegionOwner.NORMAL_ONLY], ids=lambda o: o.value
+)
+def test_read_audio_refuses_an_out_buffer_the_normal_world_can_read(owner):
+    memory, driver, bridge, _, ctx = make_bridge()
+    feed(driver, 20)
+    base = memory.asc.find_free_range(4096, 1 << 24)
+    region = memory.asc.map_region(base, 4096, owner)
+    session = bridge.open_session()
+    resp = bridge.invoke(read_audio_cmd(session, region, 4096, 20), ctx)
+    assert resp.status is PtaStatus.ACCESS_DENIED
+    assert driver.occupancy() == 20  # nothing dequeued
+    assert memory.read(tee.World.NORMAL, base, 4096) == bytes(4096)  # nothing written
+
+
+def test_read_audio_refuses_the_ring_as_its_out_buffer():
+    memory, driver, bridge, _, ctx = make_bridge(capacity=256)
+    feed(driver, 20)
+    base, length = driver.buffer_range
+    ring = memory.read(tee.World.SECURE, base, length)
+    session = bridge.open_session()
+    resp = bridge.invoke(read_audio_cmd(session, driver.region_id, length, 20), ctx)
+    assert resp.status is PtaStatus.BAD_PARAMETERS
+    assert driver.occupancy() == 20
+    assert memory.read(tee.World.SECURE, base, length) == ring
+
+
 def test_error_responses_carry_no_out_params():
     _, _, bridge, out_region, ctx = make_bridge()
     session = bridge.open_session()

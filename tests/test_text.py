@@ -12,13 +12,16 @@ from teeguard.audio import (
     MicrophoneSource,
     encode_frames,
     lexicon,
+    make_labeled_corpus,
     symbol_budget,
 )
 from teeguard.driver import EncodedBlock, SecureAudioDriver
+from teeguard.pipeline import PipelineConfig, build_classifier
 from teeguard.sense.text import (
     UNKNOWN_INDEX,
     UNKNOWN_WORD,
     MissingPayload,
+    SymbolTable,
     Vocab,
     tokenize,
     transcribe,
@@ -124,33 +127,34 @@ def block_with(text):
 
 def test_transcribe_returns_payload_and_tokens():
     vocab = Vocab({"open": 1, "the": 2, "door": 3})
-    result = transcribe(block_with("open the door"), LEXICON, vocab)
+    result = transcribe(block_with("open the door"), SymbolTable(LEXICON, vocab))
     assert result.text == "open the door"
     assert result.tokens == (1, 2, 3)
 
 
 def test_transcribe_is_deterministic():
     vocab = Vocab.from_texts(["open the door"])
-    a = transcribe(block_with("open the door"), LEXICON, vocab)
-    b = transcribe(block_with("open the door"), LEXICON, vocab)
+    a = transcribe(block_with("open the door"), SymbolTable(LEXICON, vocab))
+    b = transcribe(block_with("open the door"), SymbolTable(LEXICON, vocab))
     assert a == b
 
 
 def test_transcribe_requires_payload():
     vocab = Vocab({})
     with pytest.raises(MissingPayload):
-        transcribe(block_with(""), LEXICON, vocab)
+        transcribe(block_with(""), SymbolTable(LEXICON, vocab))
 
 
 def test_transcribe_stops_at_the_terminator():
     vocab = Vocab({})
-    assert transcribe(block_of([2, 4, 0, 1, -7, 0]), LEXICON, vocab).text == "open door"
+    result = transcribe(block_of([2, 4, 0, 1, -7, 0]), SymbolTable(LEXICON, vocab))
+    assert result.text == "open door"
 
 
 def test_terminator_is_a_whole_zero_sample():
     # 2 and 256 are the bytes 02 00 00 01: a zero pair that is no sample
     words = [f"w{i}" for i in range(300)]
-    assert transcribe(block_of([2, 256, 0]), words, Vocab({})).text == "w1 w255"
+    assert transcribe(block_of([2, 256, 0]), SymbolTable(words, Vocab({}))).text == "w1 w255"
 
 
 @pytest.mark.parametrize(
@@ -160,17 +164,81 @@ def test_terminator_is_a_whole_zero_sample():
 )
 def test_undecodable_blocks_raise_missing_payload(samples):
     with pytest.raises(MissingPayload):
-        transcribe(block_of(samples), LEXICON, Vocab({}))
+        transcribe(block_of(samples), SymbolTable(LEXICON, Vocab({})))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.one_of(st.integers(-2, 6), st.integers(-32768, 32767)), max_size=24))
 def test_noise_decodes_to_lexicon_words_or_missing_payload(samples):
     try:
-        result = transcribe(block_of(samples), LEXICON, Vocab({}))
+        result = transcribe(block_of(samples), SymbolTable(LEXICON, Vocab({})))
     except MissingPayload:
         return
     assert result.text.split() and set(result.text.split()) <= set(LEXICON)
+
+
+# -- tables built once, against the rules they stand for ----------------------
+
+PIN_CONFIG = GeneratorConfig(keywords=("PIN", "password", "Secret"), vocab_size=30)
+# words the generator never says, but that a symbol table must still join and
+# tokenize as the text would: several tokens, none, punctuation, the reserved word
+ODD_LEXICON = ("PIN", "Credit-Card", "o'brien", UNKNOWN_WORD, "two  words", "", "caf\u00e9", "x")
+
+
+def symbol_runs(size, count=400, seed=0):
+    """Random runs of symbols 1..size, each as the block the microphone would
+    make of it: the run, a 0 terminator and some noise."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        run = rng.integers(1, size + 1, size=int(rng.integers(1, 13))).tolist()
+        yield run, block_of(run + [0] + rng.integers(-32768, 32768, size=3).tolist())
+
+
+def oracle_vocab(config):
+    return build_classifier(PipelineConfig(generator=config))[0]
+
+
+def small_trained_vocab(config):
+    """A vocabulary trained on too little text for the whole lexicon."""
+    texts = [text for text, _ in make_labeled_corpus(config, 3, 60)]
+    return Vocab.from_texts(texts, max_size=12)
+
+
+@pytest.mark.parametrize(
+    "words, vocab, misses",
+    [
+        (lexicon(PIN_CONFIG), oracle_vocab(PIN_CONFIG), False),
+        (lexicon(PIN_CONFIG), small_trained_vocab(PIN_CONFIG), True),
+        (ODD_LEXICON, Vocab.from_texts([" ".join(ODD_LEXICON)]), True),  # "unk"
+        (ODD_LEXICON, Vocab.from_texts([" ".join(ODD_LEXICON)], max_size=4), True),
+    ],
+    ids=["oracle-vocab", "trained-vocab", "odd-words", "odd-words-small-vocab"],
+)
+def test_symbol_table_matches_join_and_tokenize(words, vocab, misses):
+    table = SymbolTable(words, vocab)
+    # whether some lexicon word maps to token 0
+    assert any(UNKNOWN_INDEX in tokens for tokens in table.tokens) == misses
+    unknown = 0
+    for run, block in symbol_runs(len(words)):
+        result = transcribe(block, table)
+        assert result.text == " ".join(words[s - 1] for s in run)
+        assert list(result.tokens) == tokenize(result.text, vocab)
+        unknown += result.tokens.count(UNKNOWN_INDEX)
+    assert bool(unknown) == misses
+
+
+def test_oracle_verdicts_match_the_keyword_rule():
+    vocab, verdict = build_classifier(PipelineConfig(generator=PIN_CONFIG))
+    table = SymbolTable(lexicon(PIN_CONFIG), vocab)
+    labels = set()
+    for _, block in symbol_runs(len(table.words), seed=1):
+        transcript = transcribe(block, table)
+        result = verdict(transcript)
+        expected = keyword_label(transcript.text, PIN_CONFIG.keywords)
+        assert result.label is expected
+        assert result.score == (1.0 if expected is Label.SENSITIVE else 0.0)
+        labels.add(expected)
+    assert labels == {Label.SENSITIVE, Label.BENIGN}
 
 
 # -- the sealed route: microphone, I2S, ring, transcript -------------------------
@@ -209,7 +277,7 @@ def test_payload_text_survives_the_sealed_route(
         utt = mic.capture(n)
         assert driver.ingest(encode_frames(utt.frames)) == n
         block = driver.read_block(n, tee.World.SECURE, ctx)
-        assert transcribe(block, words, vocab).text == utt.payload_text
+        assert transcribe(block, SymbolTable(words, vocab)).text == utt.payload_text
 
 
 def test_transcript_is_read_from_the_sealed_ring():
@@ -225,4 +293,5 @@ def test_transcript_is_read_from_the_sealed_ring():
     with pytest.raises(tee.AccessViolation):
         memory.read(tee.World.NORMAL, base, length)
     block = driver.read_block(16, tee.World.SECURE, ctx)
-    assert transcribe(block, words, Vocab({})).text.split() == [other] + spoken[1:]
+    result = transcribe(block, SymbolTable(words, Vocab({})))
+    assert result.text.split() == [other] + spoken[1:]
