@@ -160,13 +160,11 @@ def build_classifier(
     cc = config.classifier
     threshold = config.policy.threshold
     if cc.architecture == "oracle":
-        # keyword_label's rule, with the keyword set and both verdicts built once
+        # keyword_label's rule, with the keyword set and both verdicts built
+        # once; the threshold lies strictly between the two scores
         keywords = keyword_set(config.generator.keywords)
-        hit, miss = (
-            Verdict(score=score, label=Label.SENSITIVE if score >= threshold else Label.BENIGN,
-                    threshold=threshold)
-            for score in (1.0, 0.0)
-        )
+        hit = Verdict(score=1.0, label=Label.SENSITIVE, threshold=threshold)
+        miss = Verdict(score=0.0, label=Label.BENIGN, threshold=threshold)
 
         def oracle_verdict(transcript: Transcript) -> Verdict:
             return miss if keywords.isdisjoint(split_words(transcript.text)) else hit

@@ -5,7 +5,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from ..driver import EncodedBlock
 from ..words import split_words
@@ -91,4 +90,4 @@ def transcribe(block: EncodedBlock, table: SymbolTable) -> Transcript:
         raise MissingPayload(f"block {block.sequence} has a symbol outside the lexicon")
     words, tokens = table.words, table.tokens
     text = " ".join([words[s - 1] for s in symbols])
-    return Transcript(text, tuple(chain.from_iterable([tokens[s - 1] for s in symbols])))
+    return Transcript(text, tuple([t for s in symbols for t in tokens[s - 1]]))
