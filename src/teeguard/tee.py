@@ -74,9 +74,6 @@ class MemoryRegion:
     def end(self) -> int:
         return self.base + self.length
 
-    def contains(self, base: int, length: int) -> bool:
-        return self.base <= base and base + length <= self.base + self.length
-
     def intersects(self, base: int, length: int) -> bool:
         return base < self.end and self.base < base + length
 
@@ -162,8 +159,9 @@ class Memory:
     def _locate(self, base: int, length: int) -> tuple[bytearray, int]:
         """Backing store of the one region holding the range, and the range's
         offset in it.  A region gets its store on first access."""
+        end = base + length
         for region in self.asc.regions:
-            if region.contains(base, length):
+            if region.base <= base and end <= region.base + region.length:
                 store = self._backing.get(region.id)
                 if store is None:
                     store = self._backing[region.id] = bytearray(region.length)
