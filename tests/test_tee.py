@@ -50,6 +50,17 @@ def test_first_carve_succeeds():
     assert (region.base, region.length) == (0x1000, 0x1000)
 
 
+def test_region_ids_are_dense_and_unknown_ids_unmapped():
+    asc = AddressSpaceController()
+    ids = [asc.carve_secure_region(base, 0x100) for base in (0x1000, 0x3000, 0x2000)]
+    assert ids == [0, 1, 2]
+    assert [asc.region(i).base for i in ids] == [0x1000, 0x3000, 0x2000]
+    assert asc.regions == tuple(asc.region(i) for i in ids)
+    for unknown in (-1, 3, 1 << 32):
+        with pytest.raises(UnmappedAddress):
+            asc.region(unknown)
+
+
 def test_carve_inside_existing_region_overlaps():
     asc = AddressSpaceController()
     asc.carve_secure_region(0x1000, 0x1000)
