@@ -246,5 +246,4 @@ class PtaBridge:
         base = region.base + memref.offset
         self.memory.write(tee.World.SECURE, base, block.header())
         self.memory.write(tee.World.SECURE, base + HEADER.size, block.payload)
-        written = HEADER.size + block.payload_length
-        return PtaResponse(PtaStatus.OK, (_NONE, ValueParam(block.frame_count, written)))
+        return PtaResponse(PtaStatus.OK, (_NONE, ValueParam(block.frame_count, needed)))
