@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from teeguard.sense.modelio import (
     MODEL_MAGIC,
@@ -17,9 +19,6 @@ from teeguard.sense.modelio import (
     save_model,
 )
 from teeguard.sense.models import (
-    AttentionEncoder,
-    CnnModel,
-    HybridModel,
     init_attention,
     init_cnn,
     init_hybrid,
@@ -39,16 +38,6 @@ def models():
     }
 
 
-def all_arrays(model):
-    if isinstance(model, HybridModel):
-        parts = trainable_params(model)
-        parts["fc_weights"] = model.cnn.fc_weights
-        parts["fc_bias"] = model.cnn.fc_bias
-        parts["enc_embedding"] = model.encoder.embedding
-        return parts
-    return trainable_params(model)
-
-
 # -- model round trips ----------------------------------------------------------
 
 
@@ -59,8 +48,8 @@ def test_model_round_trip_is_exact(name, tmp_path):
     save_model(path, model)
     again = load_model(path)
     assert type(again) is type(model)
-    for key, array in all_arrays(model).items():
-        assert np.array_equal(all_arrays(again)[key], array), key
+    for key, array in trainable_params(model).items():
+        assert np.array_equal(trainable_params(again)[key], array), key
 
 
 @pytest.mark.parametrize("name", ["cnn", "attention", "hybrid"])
@@ -76,6 +65,27 @@ def test_loaded_arrays_are_writable():
     model = model_from_bytes(raw)
     model.embedding[0, 0] = 42.0  # frombuffer views are read-only; these must not be
     assert model.embedding[0, 0] == 42.0
+
+
+@pytest.mark.parametrize("name", ["cnn", "attention", "hybrid"])
+def test_file_holds_exactly_the_trainable_arrays(name):
+    model = models()[name]
+    floats = sum(a.size for a in trainable_params(model).values())
+    assert len(model_to_bytes(model)) == HEADER_SIZE + 8 * floats
+
+
+def test_nested_hybrid_file_refused():
+    v, d, f, w = 9, 5, 3, 2
+    # tag 3 stored the CNN's arrays, the projection, then the encoder's arrays
+    floats = (v * d + f * w * d + f + 1) + f * d + (v * d + 3 * d * d + d + 1)
+    raw = struct.pack("<4s5I", MODEL_MAGIC, 3, v, d, f, w) + b"\x00" * (8 * floats)
+    with pytest.raises(ModelFormatError, match="tag 3"):
+        model_from_bytes(raw)
+    relabelled = bytearray(model_to_bytes(models()["hybrid"]))
+    assert struct.unpack_from("<I", relabelled, 4) == (4,)
+    struct.pack_into("<I", relabelled, 4, 3)
+    with pytest.raises(ModelFormatError):
+        model_from_bytes(bytes(relabelled))
 
 
 def test_attention_header_has_zero_filter_fields():
@@ -157,22 +167,31 @@ def test_huge_header_dims_rejected(tag, dims):
         model_from_bytes(raw)
 
 
-def test_inconsistent_hybrid_rejected():
-    rng = np.random.default_rng(0)
-    broken = HybridModel(
-        cnn=init_cnn(9, 5, 3, 2, rng),
-        encoder=init_attention(7, 5, rng),  # vocab mismatch
-        proj=rng.normal(size=(3, 5)),
-    )
+def _misshape(name, model):
+    if name == "cnn":  # F == 3: the four floats would load as a (3,) head and bias 4.0
+        model.fc_weights = np.array([1.0, 2.0])
+        model.fc_bias = np.array([3.0, 4.0])
+    elif name == "attention":  # d == 5
+        model.head = np.zeros(4)
+        model.head_bias = np.zeros(2)
+    else:
+        model.proj = np.zeros((2, 5))  # wrong filter count
+    return model
+
+
+@pytest.mark.parametrize("name", ["cnn", "attention", "hybrid"])
+def test_misshapen_arrays_refused_at_write(name):
+    model = _misshape(name, models()[name])
     with pytest.raises(ModelFormatError):
-        model_to_bytes(broken)
-    shapely = HybridModel(
-        cnn=init_cnn(9, 5, 3, 2, rng),
-        encoder=init_attention(9, 5, rng),
-        proj=rng.normal(size=(2, 5)),  # wrong filter count
-    )
+        model_to_bytes(model)
+
+
+@pytest.mark.parametrize("name", ["cnn", "attention", "hybrid"])
+def test_wrong_rank_embedding_refused_at_write(name):
+    model = models()[name]
+    model.embedding = model.embedding.reshape(-1)
     with pytest.raises(ModelFormatError):
-        model_to_bytes(shapely)
+        model_to_bytes(model)
 
 
 def test_unsupported_object_rejected():
@@ -225,5 +244,16 @@ def test_corpus_rejects_unwritable_text(tmp_path):
     path = tmp_path / "corpus.tsv"
     with pytest.raises(ValueError):
         save_corpus(path, [("has\ttab", Label.BENIGN)])
-    with pytest.raises(ValueError):
-        save_corpus(path, [("has\nnewline", Label.BENIGN)])
+    for text in ("has\nnewline", "a\rb", "p\x85q", "a\r", "x\u2028y", "form\x0cfeed"):
+        with pytest.raises(ValueError):
+            save_corpus(path, [(text, Label.BENIGN)])
+
+
+@given(st.text(), st.sampled_from(Label))
+def test_corpus_text_the_writer_accepts_loads_back_unchanged(tmp_path_factory, text, label):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.tsv"
+    try:
+        save_corpus(path, [(text, label), ("next", Label.BENIGN)])
+    except ValueError:
+        return
+    assert load_corpus(path) == [(text, label), ("next", Label.BENIGN)]

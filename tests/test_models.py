@@ -1,6 +1,7 @@
 """Classifier forward passes against hand-computed oracles, symmetry
 properties, and analytic-vs-numeric gradient agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,14 +45,27 @@ def zero_attention(vocab=5, dim=3):
     )
 
 
+def zero_hybrid(vocab=5, dim=3, filters=2, width=2):
+    cnn, encoder = zero_cnn(vocab, dim, filters, width), zero_attention(vocab, dim)
+    return HybridModel(
+        embedding=cnn.embedding,
+        conv_filters=cnn.conv_filters,
+        proj=np.zeros((filters, dim)),
+        query=encoder.query,
+        key=encoder.key,
+        value=encoder.value,
+        head=encoder.head,
+        head_bias=encoder.head_bias,
+    )
+
+
 # -- hand-computed forward oracles ---------------------------------------------
 
 
 def test_zero_parameters_score_half():
     assert score(zero_cnn(), [1, 2, 3]) == 0.5
     assert score(zero_attention(), [1, 2]) == 0.5
-    hybrid = HybridModel(zero_cnn(), zero_attention(), np.zeros((2, 3)))
-    assert score(hybrid, [1, 2, 3]) == 0.5
+    assert score(zero_hybrid(), [1, 2, 3]) == 0.5
 
 
 def test_cnn_single_filter_scalar_oracle():
@@ -104,21 +118,16 @@ def test_attention_repeated_token_changes_nothing():
 
 def test_hybrid_uniform_attention_oracle():
     # F == d == 1 with zeroed q/k projections: attention becomes a plain mean
-    cnn = CnnModel(
+    model = HybridModel(
         embedding=np.array([[0.0], [0.5], [-1.0], [2.0]]),
         conv_filters=np.array([[[2.0]]]),
-        fc_weights=np.zeros(1),  # unused by the hybrid
-        fc_bias=np.zeros(()),
-    )
-    encoder = AttentionEncoder(
-        embedding=np.zeros((4, 1)),  # unused by the hybrid
+        proj=np.eye(1),
         query=np.zeros((1, 1)),
         key=np.zeros((1, 1)),
         value=np.eye(1),
         head=np.array([0.4]),
         head_bias=np.array(-0.6),
     )
-    model = HybridModel(cnn, encoder, proj=np.eye(1))
     # tokens [1, 3]: feature maps relu(2x) = [1.0, 4.0]; mean 2.5
     # logit = 2.5 * 0.4 - 0.6 = 0.4
     expected = 1.0 / (1.0 + math.exp(-0.4))
@@ -161,15 +170,12 @@ def test_embedding_row_permutation_symmetry():
     )
 
 
-def test_hybrid_ignores_unused_components():
-    rng = np.random.default_rng(2)
-    model = init_hybrid(8, 4, 3, 2, rng)
-    tokens = [3, 1, 6, 2]
-    baseline = score(model, tokens)
-    model.cnn.fc_weights[:] = 99.0
-    model.cnn.fc_bias[()] = -5.0
-    model.encoder.embedding[:] = 7.0
-    assert score(model, tokens) == baseline
+def test_hybrid_holds_only_the_arrays_it_trains():
+    model = init_hybrid(8, 4, 3, 2, np.random.default_rng(2))
+    assert [f.name for f in dataclasses.fields(model)] == [
+        "embedding", "conv_filters", "proj", "query", "key", "value", "head", "head_bias",
+    ]
+    assert list(trainable_params(model)) == [f.name for f in dataclasses.fields(model)]
 
 
 # -- scores, weights, padding, validation ----------------------------------------

@@ -72,6 +72,9 @@ DELETED = {
     "teeguard.driver": {"_AnnexEntry", "_collect_annex"},
     "teeguard.pta": {"_error"},
     "teeguard.relay": {"Supplicant", "SupplicantOp", "SupplicantRequest"},
+    "teeguard.sense.modelio": {
+        "_cnn_arrays", "_attention_arrays", "_cnn_shapes", "_attention_shapes", "_read_arrays"
+    },
     "teeguard.tcbtrace": {"CallGraph", "reachable", "merge_graphs"},
 }
 

@@ -1,11 +1,13 @@
 """Training loop determinism, loss behavior, and the classify/evaluate API."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from teeguard.audio import GeneratorConfig, make_labeled_corpus
+from teeguard.sense.modelio import model_to_bytes
 from teeguard.sense.models import CnnModel, trainable_params
 from teeguard.sense.text import Vocab, tokenize
 from teeguard.sense.training import (
@@ -55,6 +57,48 @@ def test_training_is_bit_deterministic(architecture):
     assert a.loss_history == b.loss_history
     for name, param in trainable_params(a.model).items():
         assert np.array_equal(param, trainable_params(b.model)[name])
+
+
+# sha256 of the trained arrays (name, then float64 LE bytes, in field order),
+# of the loss history, and of the model file, for PIN_CONFIG on PIN_CORPUS;
+# the hybrid's init draws a whole CNN and encoder, so dropping the arrays it
+# never reads changes none of these
+PIN_CORPUS = make_labeled_corpus(GeneratorConfig(), seed=41, count=60)
+PIN_CONFIG = TrainConfig(
+    learning_rate=0.5, epochs=30, seed=41, dim=8, filters=4, width=3, vocab_size=40
+)
+PINS = {
+    "cnn": (
+        "2b98ddd3f8eeb3e01475feeee74c28635c3d18b8f8195dd5ac45dd5e2256e578",
+        "6227e0be2bd6dd4629244a0b7784a7339cd9a9beba8688a33c6a83004cf53ca0",
+        "f8264299986946963f48e330a076b85f7f78d3b58ac1d483da04bbad2d456783",
+    ),
+    "attention": (
+        "25a0f027a3a027e79e36b8b8497f5f5e5658e20776a6c5de2d34dc819b9c088f",
+        "808ee97a239b99f2b45b4ef64af7a90f6b6c893ae9c57fed757f7e57f8edc854",
+        "8c77c3ebb7cec8a05eef2bddcf7120dc1de09b4faf32c0ae2ad250d71177ed75",
+    ),
+    "hybrid": (
+        "85722ca5e48ec7c14b1741bdd493846afe7b1e70d64f5149fc1b2033617cc9d5",
+        "98de915ddca0a2267056b71706ff1a5331b8df6cd00a484e713bfac57f0ed872",
+        None,  # the file format changed; test_modelio pins its size
+    ),
+}
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_seeded_training_matches_pinned_digests(architecture):
+    result = train(architecture, PIN_CORPUS, PIN_CONFIG)
+    params = hashlib.sha256()
+    for name, param in trainable_params(result.model).items():
+        params.update(name.encode())
+        params.update(np.ascontiguousarray(param, dtype="<f8").tobytes())
+    losses = np.array(result.loss_history, dtype="<f8").tobytes()
+    params_pin, loss_pin, file_pin = PINS[architecture]
+    assert params.hexdigest() == params_pin
+    assert hashlib.sha256(losses).hexdigest() == loss_pin
+    if file_pin is not None:
+        assert hashlib.sha256(model_to_bytes(result.model)).hexdigest() == file_pin
 
 
 def test_trained_parameters_stay_finite():
