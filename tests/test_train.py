@@ -60,9 +60,9 @@ def test_training_is_bit_deterministic(architecture):
 
 
 # sha256 of the trained arrays (name, then float64 LE bytes, in field order),
-# of the loss history, and of the model file, for PIN_CONFIG on PIN_CORPUS;
-# the hybrid's init draws a whole CNN and encoder, so dropping the arrays it
-# never reads changes none of these
+# of the loss history, and of the model file, for PIN_CONFIG on PIN_CORPUS.
+# The hybrid's file digest is of its tag-4 header plus the same arrays the
+# nested hybrid trained, which its init still draws in the same order.
 PIN_CORPUS = make_labeled_corpus(GeneratorConfig(), seed=41, count=60)
 PIN_CONFIG = TrainConfig(
     learning_rate=0.5, epochs=30, seed=41, dim=8, filters=4, width=3, vocab_size=40
@@ -81,7 +81,7 @@ PINS = {
     "hybrid": (
         "85722ca5e48ec7c14b1741bdd493846afe7b1e70d64f5149fc1b2033617cc9d5",
         "98de915ddca0a2267056b71706ff1a5331b8df6cd00a484e713bfac57f0ed872",
-        None,  # the file format changed; test_modelio pins its size
+        "ca50ea77c1f3fb4dcfe18f081d5b4dc09b9d427db2a9bba4a60a60f2b0ada35e",
     ),
 }
 
@@ -97,8 +97,7 @@ def test_seeded_training_matches_pinned_digests(architecture):
     params_pin, loss_pin, file_pin = PINS[architecture]
     assert params.hexdigest() == params_pin
     assert hashlib.sha256(losses).hexdigest() == loss_pin
-    if file_pin is not None:
-        assert hashlib.sha256(model_to_bytes(result.model)).hexdigest() == file_pin
+    assert hashlib.sha256(model_to_bytes(result.model)).hexdigest() == file_pin
 
 
 def test_trained_parameters_stay_finite():
