@@ -40,7 +40,7 @@ class MalformedBlock(ValueError):
 class EncodedBlock:
     sequence: int
     frame_count: int
-    payload: bytes
+    payload: bytes | memoryview
 
     def __post_init__(self) -> None:
         if len(self.payload) != self.frame_count * FRAME_BYTES:
@@ -55,7 +55,10 @@ class EncodedBlock:
         return HEADER.pack(BLOCK_MAGIC, self.sequence, self.frame_count, self.payload_length)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "EncodedBlock":
+    def from_bytes(cls, data: bytes | memoryview) -> "EncodedBlock":
+        """Parse a wire image.  The payload is a slice of `data`, not a copy:
+        parsed from a ``Memory.view`` of the out region, it aliases that
+        region and stays valid until the next read into it."""
         if len(data) < HEADER.size:
             raise MalformedBlock("short block header")
         magic, sequence, frame_count, payload_length = HEADER.unpack_from(data)

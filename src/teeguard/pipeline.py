@@ -58,7 +58,7 @@ from .sense import (
     train,
     transcribe,
 )
-from .words import ARCHITECTURE_CHOICES, Label, keyword_set, split_words
+from .words import ARCHITECTURE_CHOICES, Label, keyword_set
 
 
 class PipelineError(RuntimeError):
@@ -160,16 +160,19 @@ def build_classifier(
     cc = config.classifier
     threshold = config.policy.threshold
     if cc.architecture == "oracle":
-        # keyword_label's rule, with the keyword set and both verdicts built
-        # once; the threshold lies strictly between the two scores
-        keywords = keyword_set(config.generator.keywords)
+        # keyword_label's rule, with the keywords' token ids and both verdicts
+        # built once: every lexicon word is one token with its own id in the
+        # oracle vocabulary, so a keyword is spoken iff its id is among the
+        # transcript's tokens.  The threshold lies strictly between the scores.
+        vocab = _oracle_vocab(config.generator)
+        keyword_ids = frozenset(vocab.index[k] for k in keyword_set(config.generator.keywords))
         hit = Verdict(score=1.0, label=Label.SENSITIVE, threshold=threshold)
         miss = Verdict(score=0.0, label=Label.BENIGN, threshold=threshold)
 
         def oracle_verdict(transcript: Transcript) -> Verdict:
-            return miss if keywords.isdisjoint(split_words(transcript.text)) else hit
+            return miss if keyword_ids.isdisjoint(transcript.tokens) else hit
 
-        return _oracle_vocab(config.generator), oracle_verdict
+        return vocab, oracle_verdict
 
     if cc.model_path is not None:
         model = load_model(cc.model_path)
@@ -229,6 +232,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                 utterances.append((utt.payload_text, utt.truth_label))
                 stage = "ingest"
                 accepted = driver.ingest(stream)
+                del stream  # so only one utterance's bit lines are ever live
                 if accepted != count:
                     raise RuntimeError(f"ring accepted {accepted} of {count} frames")
 
@@ -238,7 +242,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                 if resp.status is not PtaStatus.OK:
                     raise RuntimeError(f"read command returned {resp.status.name}")
                 written = resp.params[1].b
-                block = EncodedBlock.from_bytes(memory.read(tee.World.SECURE, out_base, written))
+                block = EncodedBlock.from_bytes(memory.view(tee.World.SECURE, out_base, written))
                 stage = "transcribe"
                 transcript = transcribe(block, symbols)
                 stage = "classify"

@@ -114,8 +114,9 @@ class PtaResponse:
     params: tuple[Param, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _pad_params(self.params))
-        if self.status != PtaStatus.OK and any(
+        if len(self.params) != PARAM_SLOTS:
+            object.__setattr__(self, "params", _pad_params(self.params))
+        if self.status is not PtaStatus.OK and any(
             not isinstance(p, NoneParam) for p in self.params
         ):
             raise ValueError("error responses carry no out-params")
@@ -246,4 +247,6 @@ class PtaBridge:
         base = region.base + memref.offset
         self.memory.write(tee.World.SECURE, base, block.header())
         self.memory.write(tee.World.SECURE, base + HEADER.size, block.payload)
-        return PtaResponse(PtaStatus.OK, (_NONE, ValueParam(block.frame_count, needed)))
+        return PtaResponse(
+            PtaStatus.OK, (_NONE, ValueParam(block.frame_count, needed), _NONE, _NONE)
+        )

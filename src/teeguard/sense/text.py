@@ -76,14 +76,15 @@ class SymbolTable:
 
 def transcribe(block: EncodedBlock, table: SymbolTable) -> Transcript:
     """Deterministic ASR stand-in: the block's leading samples are word
-    symbols (lexicon position + 1) up to a 0 terminator."""
-    payload = block.payload
-    end = payload.find(b"\0\0")
-    while end % 2 and end != -1:  # the zero pair straddles two samples
-        end = payload.find(b"\0\0", end + 1)
-    if end == -1:
+    symbols (lexicon position + 1) up to a 0 terminator.  The payload may be
+    bytes or a view; only the samples up to the terminator are read."""
+    symbols = []
+    for (symbol,) in struct.iter_unpack("<h", block.payload):
+        if not symbol:
+            break
+        symbols.append(symbol)
+    else:
         raise MissingPayload(f"block {block.sequence} has no symbol terminator")
-    symbols = struct.unpack_from(f"<{end // 2}h", payload)
     if not symbols:
         raise MissingPayload(f"block {block.sequence} has an empty transcript")
     if min(symbols) < 1 or max(symbols) > len(table.words):

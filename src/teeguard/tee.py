@@ -170,13 +170,21 @@ class Memory:
             f"range [{base:#x}, +{length:#x}) is not backed by a single region"
         )
 
-    def read(self, world: World, base: int, length: int) -> bytes:
+    def view(self, world: World, base: int, length: int) -> memoryview:
+        """Read-only view of the range, checked as a read.  It aliases the
+        backing store and shows every later write into the range: a block
+        parsed from a view of the PTA's out region stays valid until the next
+        read command writes into that region."""
         if self.asc.check_access(world, base, length, AccessMode.READ) is Decision.DENY:
             raise AccessViolation(
                 f"{world.name} world read of [{base:#x}, +{length:#x}) denied"
             )
         store, offset = self._locate(base, length)
-        return bytes(memoryview(store)[offset : offset + length])
+        return memoryview(store).toreadonly()[offset : offset + length]
+
+    def read(self, world: World, base: int, length: int) -> bytes:
+        """A copy of the range, which later writes leave unchanged."""
+        return bytes(self.view(world, base, length))
 
     def write(self, world: World, base: int, data: bytes) -> None:
         length = len(data)

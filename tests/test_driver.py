@@ -258,20 +258,35 @@ def test_block_round_trip_property(sequence, n):
     assert EncodedBlock.from_bytes(raw) == block
 
 
+def as_view(raw):
+    """`raw` as the pipeline hands it to the parser: a read-only view."""
+    return memoryview(bytearray(raw)).toreadonly()
+
+
 def test_malformed_blocks_rejected():
-    good = image(EncodedBlock(0, 2, b"\x00" * 8))
-    with pytest.raises(MalformedBlock):
-        EncodedBlock.from_bytes(good[: HEADER.size - 1])
-    with pytest.raises(MalformedBlock):
-        EncodedBlock.from_bytes(b"XXXX" + good[4:])
-    with pytest.raises(MalformedBlock):
-        EncodedBlock.from_bytes(good[:-2])  # truncated payload
-    with pytest.raises(MalformedBlock):
-        EncodedBlock.from_bytes(good + b"x")  # nothing may follow the payload
+    block = EncodedBlock(0, 2, b"\x01\x00\x00\x02\x03\x00\x00\x04")
+    good = image(block)
     mangled = bytearray(good)
     mangled[12] ^= 0xFF  # payload_length disagrees with frame_count
-    with pytest.raises(MalformedBlock):
-        EncodedBlock.from_bytes(bytes(mangled))
+    malformed = [
+        good[: HEADER.size - 1],
+        b"XXXX" + good[4:],
+        good[:-2],  # truncated payload
+        good + b"x",  # nothing may follow the payload
+        bytes(mangled),
+        b"",
+    ]
+    for form in (bytes, as_view):
+        for raw in malformed:
+            with pytest.raises(MalformedBlock):
+                EncodedBlock.from_bytes(form(raw))
+        parsed = EncodedBlock.from_bytes(form(good))
+        assert parsed == block and bytes(parsed.payload) == block.payload
+    # a block parsed from a view aliases what it was parsed from
+    store = bytearray(good)
+    parsed = EncodedBlock.from_bytes(memoryview(store).toreadonly())
+    store[HEADER.size] = 0x7F
+    assert parsed.payload[0] == 0x7F
 
 
 def test_payload_length_must_match_frame_count():

@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,26 @@ def test_log_covers_every_utterance():
     forwarded = [r.sequence for r in records if r.sequence is not None]
     assert forwarded == list(range(len(forwarded)))  # sequences in send order
     assert len(result.metrics.latency_us) == 30
+
+
+def test_memory_holds_one_utterance_at_a_time():
+    # the long-utterance benchmark's shape: each utterance's I2S bit lines are
+    # 512,000 bytes, so two streams alive at once would pass 1 MiB
+    def run(utterances):
+        config = PipelineConfig(
+            seed=7, utterances=utterances, frames_per_utterance=8000, capacity=32000
+        )
+        return run_pipeline(config, transport=RecordingTransport())
+
+    run(3)  # warm-up: imports, caches and the numpy allocator
+    tracemalloc.start()
+    try:
+        result = run(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.metrics.processed == 40
+    assert peak < 1 << 20
 
 
 def test_trained_classifier_path_runs():

@@ -268,6 +268,19 @@ def test_error_responses_carry_no_out_params():
         assert all(isinstance(p, NoneParam) for p in resp.params)
 
 
+def test_response_pads_only_a_short_param_tuple():
+    full = (NoneParam(), ValueParam(3, 28), NoneParam(), NoneParam())
+    assert PtaResponse(PtaStatus.OK, full).params is full  # kept as passed
+    assert PtaResponse(PtaStatus.OK, (NoneParam(), ValueParam(3, 28))).params == full
+    assert PtaResponse(PtaStatus.UNDERFLOW).params == (NoneParam(),) * PARAM_SLOTS
+    for status in (s for s in PtaStatus if s is not PtaStatus.OK):
+        for params in (full, (ValueParam(1),)):
+            with pytest.raises(ValueError):
+                PtaResponse(status, params)
+    with pytest.raises(ValueError):
+        PtaResponse(PtaStatus.OK, full + (NoneParam(),))
+
+
 # -- wire format ---------------------------------------------------------------
 
 

@@ -170,13 +170,25 @@ def test_access_decisions_match_per_byte_oracle(data):
         except OverlapError:
             pass
     table = owner_map(asc, limit)
+    mem = Memory(asc)
+    for region in asc.regions:
+        fill = bytes((region.id + i) % 256 for i in range(region.length))
+        mem.write(World.SECURE, region.base, fill)
     for _ in range(20):
         base = data.draw(st.integers(0, limit - 2))
         length = data.draw(st.integers(1, limit - base))
         world = data.draw(st.sampled_from([World.SECURE, World.NORMAL]))
-        assert asc.check_access(world, base, length) is oracle_access(
-            table, world, base, length
-        )
+        decision = oracle_access(table, world, base, length)
+        assert asc.check_access(world, base, length) is decision
+        # a view is checked exactly as a read: same bytes, or the same error
+        outcomes = []
+        for access in (mem.read, mem.view):
+            try:
+                outcomes.append(bytes(access(world, base, length)))
+            except (AccessViolation, UnmappedAddress) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is AccessViolation) == (decision is Decision.DENY)
 
 
 # -- memory -----------------------------------------------------------------
@@ -189,6 +201,17 @@ def test_memory_round_trip_secure_world():
     mem.write(World.SECURE, 0x1010, b"\xde\xad\xbe\xef")
     assert mem.read(World.SECURE, 0x1010, 4) == b"\xde\xad\xbe\xef"
     assert asc.region(rid).length == 0x100
+    view = mem.view(World.SECURE, 0x1010, 4)
+    assert view.readonly and view == b"\xde\xad\xbe\xef"
+    with pytest.raises(TypeError):
+        view[0] = 0
+    with pytest.raises(TypeError):
+        view[1:3] = b"\x00\x00"
+    # a read is a snapshot; a view aliases the store and shows later writes
+    snapshot = mem.read(World.SECURE, 0x1010, 4)
+    mem.write(World.SECURE, 0x1010, b"\x01\x02\x03\x04")
+    assert snapshot == b"\xde\xad\xbe\xef"
+    assert view == b"\x01\x02\x03\x04"
 
 
 def test_memory_denies_normal_world_on_secure_bytes():
@@ -198,6 +221,8 @@ def test_memory_denies_normal_world_on_secure_bytes():
     with pytest.raises(AccessViolation):
         mem.read(World.NORMAL, 0x1000, 1)
     with pytest.raises(AccessViolation):
+        mem.view(World.NORMAL, 0x1000, 1)
+    with pytest.raises(AccessViolation):
         mem.write(World.NORMAL, 0x10FF, b"x")
 
 
@@ -205,11 +230,17 @@ def test_memory_unmapped_range_rejected():
     asc = AddressSpaceController()
     asc.carve_secure_region(0x1000, 0x100)
     mem = Memory(asc)
-    with pytest.raises(UnmappedAddress):
-        mem.read(World.SECURE, 0x5000, 4)
-    with pytest.raises(UnmappedAddress):
-        # spans past the region's end
-        mem.read(World.SECURE, 0x10F0, 0x20)
+    for access in (mem.read, mem.view):
+        with pytest.raises(UnmappedAddress):
+            access(World.SECURE, 0x5000, 4)
+        with pytest.raises(UnmappedAddress):
+            # spans past the region's end
+            access(World.SECURE, 0x10F0, 0x20)
+        with pytest.raises(AccessViolation):
+            # straddles the region's start: denied before it is located
+            access(World.NORMAL, 0x0FF0, 0x20)
+        with pytest.raises(UnmappedAddress):
+            access(World.SECURE, 0x0FF0, 0x20)
 
 
 def test_find_free_range_first_fit():

@@ -125,6 +125,27 @@ def block_with(text):
     return block_of([LEXICON.index(word) + 1 for word in text.split()] + [0])
 
 
+def transcribe_both(block, table):
+    """transcribe the block as built and as the pipeline parses it, from a
+    read-only view of its wire image; both give the same transcript or the
+    same MissingPayload, which is raised."""
+    image = memoryview(bytearray(block.header() + block.payload)).toreadonly()
+    viewed = EncodedBlock.from_bytes(image)
+    assert isinstance(viewed.payload, memoryview)
+    results = []
+    for each in (block, viewed):
+        try:
+            results.append(transcribe(each, table))
+        except MissingPayload as exc:
+            results.append(exc)
+    by_bytes, by_view = results
+    if isinstance(by_bytes, MissingPayload):
+        assert isinstance(by_view, MissingPayload) and str(by_view) == str(by_bytes)
+        raise by_bytes
+    assert by_view == by_bytes
+    return by_bytes
+
+
 def test_transcribe_returns_payload_and_tokens():
     vocab = Vocab({"open": 1, "the": 2, "door": 3})
     result = transcribe(block_with("open the door"), SymbolTable(LEXICON, vocab))
@@ -142,36 +163,39 @@ def test_transcribe_is_deterministic():
 def test_transcribe_requires_payload():
     vocab = Vocab({})
     with pytest.raises(MissingPayload):
-        transcribe(block_with(""), SymbolTable(LEXICON, vocab))
+        transcribe_both(block_with(""), SymbolTable(LEXICON, vocab))
 
 
 def test_transcribe_stops_at_the_terminator():
     vocab = Vocab({})
-    result = transcribe(block_of([2, 4, 0, 1, -7, 0]), SymbolTable(LEXICON, vocab))
+    result = transcribe_both(block_of([2, 4, 0, 1, -7, 0]), SymbolTable(LEXICON, vocab))
     assert result.text == "open door"
 
 
 def test_terminator_is_a_whole_zero_sample():
     # 2 and 256 are the bytes 02 00 00 01: a zero pair that is no sample
     words = [f"w{i}" for i in range(300)]
-    assert transcribe(block_of([2, 256, 0]), SymbolTable(words, Vocab({}))).text == "w1 w255"
+    assert transcribe_both(block_of([2, 256, 0]), SymbolTable(words, Vocab({}))).text == "w1 w255"
 
 
 @pytest.mark.parametrize(
     "samples",
-    [[2, 3, 4, 1], [], [2, 5, 0, 0], [2, -1, 0, 0], [0, 2]],
-    ids=["no-terminator", "no-samples", "past-lexicon", "negative", "empty-transcript"],
+    [[2, 3, 4, 1], [], [2, 5, 0, 0], [2, -1, 0, 0], [0, 2], [2, 256, 3, 4]],
+    ids=[
+        "no-terminator", "no-samples", "past-lexicon", "negative", "empty-transcript",
+        "straddling-zero-pair-only",
+    ],
 )
 def test_undecodable_blocks_raise_missing_payload(samples):
     with pytest.raises(MissingPayload):
-        transcribe(block_of(samples), SymbolTable(LEXICON, Vocab({})))
+        transcribe_both(block_of(samples), SymbolTable(LEXICON, Vocab({})))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.one_of(st.integers(-2, 6), st.integers(-32768, 32767)), max_size=24))
 def test_noise_decodes_to_lexicon_words_or_missing_payload(samples):
     try:
-        result = transcribe(block_of(samples), SymbolTable(LEXICON, Vocab({})))
+        result = transcribe_both(block_of(samples), SymbolTable(LEXICON, Vocab({})))
     except MissingPayload:
         return
     assert result.text.split() and set(result.text.split()) <= set(LEXICON)
@@ -220,7 +244,7 @@ def test_symbol_table_matches_join_and_tokenize(words, vocab, misses):
     assert any(UNKNOWN_INDEX in tokens for tokens in table.tokens) == misses
     unknown = 0
     for run, block in symbol_runs(len(words)):
-        result = transcribe(block, table)
+        result = transcribe_both(block, table)
         assert result.text == " ".join(words[s - 1] for s in run)
         assert list(result.tokens) == tokenize(result.text, vocab)
         unknown += result.tokens.count(UNKNOWN_INDEX)
@@ -232,7 +256,7 @@ def test_oracle_verdicts_match_the_keyword_rule():
     table = SymbolTable(lexicon(PIN_CONFIG), vocab)
     labels = set()
     for _, block in symbol_runs(len(table.words), seed=1):
-        transcript = transcribe(block, table)
+        transcript = transcribe_both(block, table)
         result = verdict(transcript)
         expected = keyword_label(transcript.text, PIN_CONFIG.keywords)
         assert result.label is expected
