@@ -1,11 +1,11 @@
 """A small TCP endpoint standing in for the remote collector.
 
-Each connection carries a stream of relay frames.  Well-formed frames are
-stored and acknowledged.  A frame with a bad magic gets a negative
-acknowledgement and its declared payload is read and thrown away, so nothing
-inside a rejected frame is ever taken for a frame of its own.  A length over
-`MAX_PAYLOAD` gets a negative acknowledgement and the connection is closed,
-because no frame boundary is left to trust.
+Each connection carries a stream of relay frames, judged by
+`relay.decode_header`; good ones are stored and acknowledged.  A bad magic
+gets a negative acknowledgement and its declared payload is read and thrown
+away, so nothing inside a rejected frame is ever taken for a frame of its
+own.  A length over `relay.MAX_PAYLOAD` gets a negative acknowledgement and
+the connection is closed, because no frame boundary is left to trust.
 """
 
 from __future__ import annotations
@@ -17,27 +17,16 @@ from pathlib import Path
 from .relay import (
     ACK_MALFORMED,
     ACK_OK,
-    FRAME_MAGIC,
-    RelayPacket,
     FRAME_HEADER,
+    HeaderError,
+    RelayPacket,
+    decode_header,
     encode_ack,
 )
-
-MAX_PAYLOAD = 1 << 20
 
 
 class BindError(OSError):
     pass
-
-
-def _read_exact(rfile, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = rfile.read(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
 
 
 class MockCloud:
@@ -68,19 +57,22 @@ class MockCloud:
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
+                # The buffered rfile's read(n) returns fewer than n bytes only at EOF.
                 while True:
-                    header = _read_exact(self.rfile, FRAME_HEADER.size)
-                    if header is None:
+                    header = self.rfile.read(FRAME_HEADER.size)
+                    if len(header) < FRAME_HEADER.size:
                         return
-                    magic, sequence, flags, length = FRAME_HEADER.unpack(header)
-                    if magic != FRAME_MAGIC or length > MAX_PAYLOAD:
+                    try:
+                        sequence, flags, length = decode_header(header)
+                    except HeaderError as exc:
                         cloud._record_nak()
                         self.wfile.write(encode_ack(0, ACK_MALFORMED))
-                        if length > MAX_PAYLOAD or _read_exact(self.rfile, length) is None:
+                        skip = exc.resync
+                        if skip is None or len(self.rfile.read(skip)) < skip:
                             return
                         continue
-                    payload = _read_exact(self.rfile, length)
-                    if payload is None:
+                    payload = self.rfile.read(length)
+                    if len(payload) < length:
                         return
                     cloud._record(RelayPacket(sequence, flags, payload))
                     self.wfile.write(encode_ack(sequence, ACK_OK))

@@ -20,6 +20,11 @@ FRAME_BYTES = 4  # int16 L + int16 R
 RING_ADDRESS_LIMIT = 1 << 20  # the ring is carved below this address
 
 
+def block_size(n: int) -> int:
+    """Bytes of the wire image of a block of n frames."""
+    return HEADER.size + n * FRAME_BYTES
+
+
 class AllocationError(RuntimeError):
     """No secure region space for the requested buffer."""
 
@@ -147,13 +152,6 @@ class SecureAudioDriver:
                 self._count += accepted
             self.overrun_count += rejected
         return accepted
-
-    def encoded_size(self, n: int) -> int:
-        """Serialized size of the block the next read_block(n) would produce."""
-        with self._lock:
-            if n > self._count:
-                raise Underflow(f"occupancy {self._count} < requested {n}")
-        return HEADER.size + n * FRAME_BYTES
 
     def read_block(self, n: int, caller: tee.World, ctx: tee.WorldContext) -> EncodedBlock:
         """Dequeue n frames into an encoded block; only the secure world (the

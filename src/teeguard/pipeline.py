@@ -24,7 +24,7 @@ from .audio import (
     make_labeled_corpus,
     symbol_budget,
 )
-from .driver import FRAME_BYTES, HEADER, EncodedBlock, SecureAudioDriver
+from .driver import EncodedBlock, SecureAudioDriver, block_size
 from .pta import (
     CMD_GET_STATUS,
     CMD_READ_AUDIO,
@@ -36,12 +36,9 @@ from .pta import (
     ValueParam,
 )
 from .relay import (
-    ACK_OK,
-    FRAME_HEADER,
     FilterPolicy,
     RedactionLog,
     RedactionRecord,
-    RelayPacket,
     SecureChannel,
     TcpTransport,
     apply_policy,
@@ -107,13 +104,8 @@ class PipelineConfig:
             raise ValueError("frames_per_utterance too small for the longest transcript")
         if self.cost_per_switch < 0:
             raise ValueError("cost_per_switch must be non-negative")
-        if _block_bound(self) >= MEMREF_FIELD_LIMIT:
+        if block_size(self.frames_per_utterance) >= MEMREF_FIELD_LIMIT:
             raise ValueError("frames_per_utterance too large for one output buffer")
-
-
-def _block_bound(config: PipelineConfig) -> int:
-    """Bytes of the block one utterance produces."""
-    return HEADER.size + config.frames_per_utterance * FRAME_BYTES
 
 
 @dataclass
@@ -158,7 +150,6 @@ def build_classifier(
 ) -> tuple[Vocab, Callable[[Transcript], Verdict]]:
     """Resolve the configured classifier into (vocabulary, verdict function)."""
     cc = config.classifier
-    threshold = config.policy.threshold
     if cc.architecture == "oracle":
         # keyword_label's rule, with the keywords' token ids and both verdicts
         # built once: every lexicon word is one token with its own id in the
@@ -166,8 +157,8 @@ def build_classifier(
         # transcript's tokens.  The threshold lies strictly between the scores.
         vocab = _oracle_vocab(config.generator)
         keyword_ids = frozenset(vocab.index[k] for k in keyword_set(config.generator.keywords))
-        hit = Verdict(score=1.0, label=Label.SENSITIVE, threshold=threshold)
-        miss = Verdict(score=0.0, label=Label.BENIGN, threshold=threshold)
+        hit = Verdict(score=1.0, label=Label.SENSITIVE)
+        miss = Verdict(score=0.0, label=Label.BENIGN)
 
         def oracle_verdict(transcript: Transcript) -> Verdict:
             return miss if keyword_ids.isdisjoint(transcript.tokens) else hit
@@ -183,6 +174,7 @@ def build_classifier(
         corpus = make_labeled_corpus(config.generator, cc.train.seed, cc.train_utterances)
         result = train(cc.architecture, corpus, cc.train)
         model, vocab = result.model, result.vocab
+    threshold = config.policy.threshold
 
     def model_verdict(transcript: Transcript) -> Verdict:
         return classify(model, transcript.tokens, threshold)
@@ -202,7 +194,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
         driver = SecureAudioDriver(asc, memory, config.capacity)
         bridge = PtaBridge(driver, memory)
         session = bridge.open_session()
-        out_len = _block_bound(config)
+        out_len = block_size(config.frames_per_utterance)
         out_base = asc.find_free_range(out_len, 1 << 24)
         out_region = asc.carve_secure_region(out_base, out_len)
         count = config.frames_per_utterance
@@ -257,14 +249,10 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                 sequence = None
                 if decision.forward:
                     stage = "relay"
-                    sequence = channel.next_sequence()
-                    packet = RelayPacket(sequence, decision.flags, decision.text.encode("utf-8"))
-                    status = channel.send(packet, ctx)
-                    if status != ACK_OK:
-                        raise RuntimeError(f"collector rejected frame with status {status}")
+                    payload = decision.text.encode("utf-8")
+                    sequence = channel.send(decision.flags, payload, ctx)
                     metrics.forwarded += 1
-                    metrics.bytes_sent += FRAME_HEADER.size + len(packet.payload)
-                    sent_payloads.append(packet.payload)
+                    sent_payloads.append(payload)
                 log.append(RedactionRecord(sequence, verdict.score, verdict.label, decision.action))
                 metrics.latency_us.append((time.perf_counter() - started) * 1e6)
         except Exception as exc:
@@ -284,6 +272,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
 
     metrics.switches = ctx.switch_count
     metrics.cost_units = ctx.switch_cost_units
+    metrics.bytes_sent = channel.bytes_sent
     return RunResult(
         metrics=metrics, log=log, utterances=utterances, sent_payloads=sent_payloads
     )

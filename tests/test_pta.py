@@ -198,6 +198,9 @@ def test_underflow():
     session = bridge.open_session()
     resp = bridge.invoke(read_audio_cmd(session, out_region, 4096, 6), ctx)
     assert resp.status is PtaStatus.UNDERFLOW
+    # underflow is checked first, so a buffer also too short still reads as it
+    resp = bridge.invoke(read_audio_cmd(session, out_region, 16, 6), ctx)
+    assert resp.status is PtaStatus.UNDERFLOW
     assert driver.occupancy() == 5
 
 

@@ -1,5 +1,7 @@
 """Frame codec, redaction policy, and switch accounting on the send path."""
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,10 +13,12 @@ from teeguard.relay import (
     FLAG_MASKED,
     FRAME_HEADER,
     FRAME_MAGIC,
+    MAX_PAYLOAD,
     FilterAction,
     FilterDecision,
     FilterPolicy,
     FrameError,
+    HeaderError,
     NotConnected,
     RecordingTransport,
     RedactionLog,
@@ -25,6 +29,7 @@ from teeguard.relay import (
     apply_policy,
     decode_ack,
     decode_frame,
+    decode_header,
     encode_ack,
     encode_frame,
 )
@@ -92,6 +97,23 @@ def test_packet_field_limits():
         RelayPacket(2**32, 0, b"")
     with pytest.raises(ValueError):
         RelayPacket(0, -1, b"")
+    RelayPacket(0, 0, bytes(MAX_PAYLOAD))
+    with pytest.raises(ValueError):
+        RelayPacket(0, 0, bytes(MAX_PAYLOAD + 1))
+
+
+def test_header_rule():
+    header = encode_frame(RelayPacket(6, FLAG_MASKED, b"abc"))[: FRAME_HEADER.size]
+    assert decode_header(header) == (6, FLAG_MASKED, 3)
+    with pytest.raises(HeaderError) as short:
+        decode_header(header[:-1])
+    assert short.value.resync is None
+    with pytest.raises(HeaderError) as magic:
+        decode_header(b"XXXX" + header[4:])
+    assert magic.value.resync == 3  # the payload to skip to the next header
+    with pytest.raises(HeaderError) as long:
+        decode_header(FRAME_HEADER.pack(FRAME_MAGIC, 6, 0, MAX_PAYLOAD + 1))
+    assert long.value.resync is None  # no frame boundary left to trust
 
 
 # -- policy filtering ---------------------------------------------------------------
@@ -147,8 +169,7 @@ def test_policy_validation():
 
 def test_single_send_costs_two_switches():
     transport, channel, ctx = make_channel()
-    status = channel.send(RelayPacket(0, 0, b"hello"), ctx)
-    assert status == ACK_OK
+    assert channel.send(0, b"hello", ctx) == 0
     assert ctx.switch_count == 2
     assert ctx.current is World.SECURE
     assert transport.packets == [RelayPacket(0, 0, b"hello")]
@@ -157,8 +178,7 @@ def test_single_send_costs_two_switches():
 def test_n_sends_cost_exactly_2n_switches():
     transport, channel, ctx = make_channel()
     for _ in range(25):
-        packet = RelayPacket(channel.next_sequence(), 0, b"x")
-        assert channel.send(packet, ctx) == ACK_OK
+        channel.send(0, b"x", ctx)
     assert ctx.switch_count == 50
     assert ctx.switch_cost_units == 50 * ctx.cost_per_switch
     assert [p.sequence for p in transport.packets] == list(range(25))
@@ -178,7 +198,7 @@ def test_unconnected_send_costs_nothing():
     channel = SecureChannel(RecordingTransport())
     ctx = WorldContext(current=World.SECURE)
     with pytest.raises(NotConnected):
-        channel.send(RelayPacket(0, 0, b""), ctx)
+        channel.send(0, b"", ctx)
     assert ctx.switch_count == 0
 
 
@@ -186,19 +206,21 @@ def test_transport_failure_still_costs_two_switches():
     transport, channel, ctx = make_channel()
     transport.connected = False  # next exchange raises
     with pytest.raises(TransportError):
-        channel.send(RelayPacket(channel.next_sequence(), 0, b"x"), ctx)
+        channel.send(0, b"x", ctx)
     assert ctx.switch_count == 2
     assert ctx.current is World.SECURE
     # the burned sequence number is never handed out again
-    assert channel.next_sequence() == 1
+    transport.connected = True
+    assert channel.send(0, b"y", ctx) == 1
 
 
 def test_sent_bytes_are_the_marshaled_frames():
     transport, channel, ctx = make_channel()
-    packets = [RelayPacket(i, 0, bytes([i]) * i) for i in range(5)]
+    packets = [RelayPacket(i, FLAG_MASKED, bytes([i]) * i) for i in range(5)]
     for packet in packets:
-        channel.send(packet, ctx)
+        channel.send(packet.flags, packet.payload, ctx)
     assert transport.sent == [encode_frame(p) for p in packets]
+    assert channel.bytes_sent == sum(len(frame) for frame in transport.sent)
 
 
 def test_the_secure_world_parses_the_ack(monkeypatch):
@@ -210,7 +232,7 @@ def test_the_secure_world_parses_the_ack(monkeypatch):
         return decode_ack(raw)
 
     monkeypatch.setattr(relay, "decode_ack", watched_decode_ack)
-    assert channel.send(RelayPacket(0, 0, b"x"), ctx) == ACK_OK
+    channel.send(0, b"x", ctx)
     assert worlds == [World.SECURE]
 
 
@@ -224,7 +246,7 @@ def test_unreadable_ack_still_costs_two_switches():
     channel.connect(("t", 0))
     ctx = WorldContext(current=World.SECURE)
     with pytest.raises(TransportError, match="unreadable acknowledgement"):
-        channel.send(RelayPacket(0, 0, b"p"), ctx)
+        channel.send(0, b"p", ctx)
     assert ctx.switch_count == 2
     assert ctx.current is World.SECURE
 
@@ -239,8 +261,8 @@ def test_mismatched_ack_sequence_detected():
     channel = SecureChannel(transport)
     channel.connect(("t", 0))
     ctx = WorldContext(current=World.SECURE)
-    with pytest.raises(TransportError):
-        channel.send(RelayPacket(3, 0, b"p"), ctx)
+    with pytest.raises(TransportError, match="frame 0 answered for sequence 999"):
+        channel.send(0, b"p", ctx)
     assert ctx.switch_count == 2
 
 
@@ -251,10 +273,31 @@ def test_peer_naks_garbage_frames():
     assert transport.packets == []
 
 
+def test_nak_raises_after_two_switches():
+    class NakTransport(RecordingTransport):
+        def exchange(self, frame):
+            super().exchange(frame)
+            return encode_ack(0, ACK_MALFORMED)
+
+    channel = SecureChannel(NakTransport())
+    channel.connect(("t", 0))
+    ctx = WorldContext(current=World.SECURE)
+    with pytest.raises(TransportError, match="frame 0 answered for sequence 0 with status 1"):
+        channel.send(0, b"p", ctx)
+    assert ctx.switch_count == 2
+    assert channel.bytes_sent == 0
+
+
 def test_sequences_are_monotonic_and_unique():
-    _, channel, _ = make_channel()
-    values = [channel.next_sequence() for _ in range(100)]
+    transport, channel, ctx = make_channel()
+    values = [channel.send(0, b"x", ctx) for _ in range(100)]
     assert values == list(range(100))
+    assert [p.sequence for p in transport.packets] == values
+    # the channel alone numbers frames: send takes no sequence
+    assert list(inspect.signature(SecureChannel.send).parameters) == [
+        "self", "flags", "payload", "ctx",
+    ]
+    assert not hasattr(SecureChannel, "next_sequence")
 
 
 # -- audit log -------------------------------------------------------------------
