@@ -1,20 +1,26 @@
 """Call-trace analysis for trimming the trusted driver down to what runs.
 
 Traces are flat text, one event per line: ``<timestamp> <E|X> <function>
-<task>``.  `task_graphs` reads a trace in one pass: a scanner checks each
-line and hands it straight to a per-task stack replay, which records the
-functions each task entered without keeping per-event objects.  A bad trace
-raises `ParseError` at its first bad line, else `UnbalancedTrace` if a task
-never exits a call, else `MismatchedExit` for the first task to appear that
-exits a function not on top of its stack.  The union of the functions the
-selected tasks entered is the set a build must keep, and everything else in
-the inventory gets an exclusion directive.
+<task>``.  Every reader goes through one loop, `_replay`, which takes each
+line's fields, checks them and replays the event on its task's call stack
+straight away.  It keeps one state per task (last timestamp, open calls,
+functions entered), so a line costs one dict lookup and no per-event object;
+a name is matched against the identifier rule only when it is first seen in
+its task.  `task_graphs` feeds it a trace's text and returns the functions
+each task entered.  `parse_trace` (text to `TraceEvent`s) and
+`build_task_graphs` (`TraceEvent`s to entered sets) are the event-object
+entry points over the same loop.  A bad trace raises `ParseError` at its
+first bad line, else `UnbalancedTrace` if a task never exits a call, else
+`MismatchedExit` for the first task to appear that exits a function not on
+top of its stack.  The union of the functions the selected tasks entered is
+the set a build must keep, and everything else in the inventory gets an
+exclusion directive.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +54,12 @@ class UnknownFunction(ValueError):
     pass
 
 
+class DirectiveClash(ValueError):
+    """Inventory names with no exclusion directive of their own: names that
+    are not identifiers, or excluded names whose directive is a required
+    function's."""
+
+
 class Direction(Enum):
     ENTER = "E"
     EXIT = "X"
@@ -70,68 +82,84 @@ class TraceEvent:
 
 _DIRECTIONS = {d.value: d for d in Direction}
 _Row = tuple[int, Direction, str, str]  # timestamp, direction, function, task
-# A task's replay state: the calls still open and the functions entered.
-_TaskState = tuple[list[str], set[str]]
+# A task's replay state: [last timestamp, calls still open, functions entered].
+_TaskState = list
 
 
-def _scan(text: str) -> Iterator[_Row]:
-    """Yield each event line of a trace as a checked row.  Blank lines and
-    `#` comments are skipped; each task's timestamps must be non-decreasing."""
-    last_ts: dict[str, int] = {}
-    checked: set[str] = set()  # names that already matched _IDENTIFIER
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) != 4:
-            raise ParseError(lineno, f"expected 4 fields, got {len(fields)}")
-        ts_text, dir_text, function, task = fields
-        if not (ts_text.isascii() and ts_text.isdigit()):
-            raise ParseError(lineno, f"bad timestamp {ts_text!r}")
-        try:
-            timestamp = int(ts_text)
-        except ValueError:  # over int()'s 4,300-digit limit, leading zeros included
-            ts_text = ts_text.lstrip("0") or "0"
-            timestamp = int(ts_text) if len(ts_text) <= _TIMESTAMP_DIGITS else TIMESTAMP_LIMIT
-        if timestamp >= TIMESTAMP_LIMIT:
-            raise ParseError(lineno, "timestamp outside u64 range")
-        direction = _DIRECTIONS.get(dir_text)
-        if direction is None:
-            raise ParseError(lineno, f"unknown direction {dir_text!r}")
-        for name in (function, task):
-            if name not in checked:
-                if not _IDENTIFIER.match(name):
-                    raise ParseError(lineno, f"bad identifier {name!r}")
-                checked.add(name)
-        if timestamp < last_ts.get(task, 0):
-            raise ParseError(lineno, f"timestamp went backwards for task {task!r}")
-        last_ts[task] = timestamp
-        yield timestamp, direction, function, task
+def _check_identifier(lineno: int, name: str) -> None:
+    if not _IDENTIFIER.match(name):
+        raise ParseError(lineno, f"bad identifier {name!r}")
 
 
-def _replay(rows: Iterable[_Row]) -> tuple[dict[str, _TaskState], dict[str, str]]:
-    """Replay each task's call stack.  Returns every task's state, in order
-    of first appearance, and the first mismatched exit of each task, in the
-    order met.  An exit that does not match the top of its stack is not
-    popped."""
+def _replay(
+    lines: Iterable[Sequence[str]], rows: list[_Row] | None = None
+) -> tuple[dict[str, _TaskState], dict[str, str]]:
+    """Check each line of a trace, given as its fields, and replay it on its
+    task's call stack straight away.  Returns every task's state, in order of
+    first appearance, and the first mismatched exit of each task, in the order
+    met; an exit that does not match the top of its stack is not popped.
+    Blank lines and `#` comments are skipped; each task's timestamps must be
+    non-decreasing.  `rows`, if given, collects each checked event.
+
+    A task's name is matched against _IDENTIFIER when the task first appears,
+    a function's when its task first enters it or exits it without a match;
+    an exit that pops the stack top names a function its task entered.  A
+    timestamp of fewer than 20 digits is below 2**64, so only longer ones
+    take the zero-strip path."""
     tasks: dict[str, _TaskState] = {}
     mismatches: dict[str, str] = {}
     enter = Direction.ENTER
-    for _, direction, function, task in rows:
-        stack, entered = tasks.get(task) or tasks.setdefault(task, ([], set()))
+    for lineno, fields in enumerate(lines, 1):
+        try:
+            ts_text, dir_text, function, task = fields
+        except ValueError:
+            if fields and not fields[0].startswith("#"):
+                raise ParseError(lineno, f"expected 4 fields, got {len(fields)}") from None
+            continue
+        if not (ts_text.isdigit() and ts_text.isascii()):
+            if ts_text.startswith("#"):
+                continue
+            raise ParseError(lineno, f"bad timestamp {ts_text!r}")
+        if len(ts_text) < _TIMESTAMP_DIGITS:
+            timestamp = int(ts_text)
+        else:  # strip the zeros first: int() refuses over 4,300 digits
+            ts_text = ts_text.lstrip("0") or "0"
+            timestamp = int(ts_text) if len(ts_text) <= _TIMESTAMP_DIGITS else TIMESTAMP_LIMIT
+            if timestamp >= TIMESTAMP_LIMIT:
+                raise ParseError(lineno, "timestamp outside u64 range")
+        direction = _DIRECTIONS.get(dir_text)
+        if direction is None:
+            raise ParseError(lineno, f"unknown direction {dir_text!r}")
+        state = tasks.get(task)
+        if state is None:
+            _check_identifier(lineno, function)
+            _check_identifier(lineno, task)
+            state = tasks[task] = [timestamp, [], set()]
+        elif timestamp < state[0]:
+            _check_identifier(lineno, function)  # a bad name is the line's first fault
+            raise ParseError(lineno, f"timestamp went backwards for task {task!r}")
+        else:
+            state[0] = timestamp
+        _, stack, entered = state
         if direction is enter:
-            entered.add(function)
+            if function not in entered:
+                _check_identifier(lineno, function)
+                entered.add(function)
             stack.append(function)
         elif stack and stack[-1] == function:
             stack.pop()
-        elif task not in mismatches:
-            top = stack[-1] if stack else "<empty>"
-            mismatches[task] = f"task {task!r} exits {function!r} but the stack top is {top}"
+        else:
+            _check_identifier(lineno, function)
+            if task not in mismatches:
+                top = stack[-1] if stack else "<empty>"
+                mismatches[task] = f"task {task!r} exits {function!r} but the stack top is {top}"
+        if rows is not None:
+            rows.append((timestamp, direction, function, task))
     return tasks, mismatches
 
 
 def _check_balance(tasks: Mapping[str, _TaskState]) -> None:
-    open_calls = sorted((task, state[0]) for task, state in tasks.items() if state[0])
+    open_calls = sorted((task, state[1]) for task, state in tasks.items() if state[1])
     if open_calls:
         raise UnbalancedTrace("; ".join(
             f"task {task!r} never exited {', '.join(sorted(set(stack)))}"
@@ -143,8 +171,8 @@ def parse_trace(text: str) -> list[TraceEvent]:
     """Parse a trace log.  Blank lines and `#` comments are skipped; each
     task's timestamps must be non-decreasing and its Enters must all be
     matched by the end of input."""
-    rows = list(_scan(text))
-    _check_balance(_replay(rows)[0])
+    rows: list[_Row] = []
+    _check_balance(_replay(map(str.split, text.splitlines()), rows)[0])
     return [TraceEvent(*row) for row in rows]
 
 
@@ -154,19 +182,26 @@ def _entered(tasks: dict[str, _TaskState], mismatches: dict[str, str]) -> dict[s
     for task in tasks:
         if task in mismatches:
             raise MismatchedExit(mismatches[task])
-    return {task: frozenset(entered) for task, (_, entered) in tasks.items()}
+    return {task: frozenset(entered) for task, (_, _, entered) in tasks.items()}
 
 
 def task_graphs(text: str) -> dict[str, frozenset[str]]:
     """The functions each task of one trace entered, read in a single pass;
     errors come in the order the module docstring gives."""
-    tasks, mismatches = _replay(_scan(text))
+    tasks, mismatches = _replay(map(str.split, text.splitlines()))
     _check_balance(tasks)
     return _entered(tasks, mismatches)
 
 
 def build_task_graphs(events: Iterable[TraceEvent]) -> dict[str, frozenset[str]]:
-    return _entered(*_replay((e.timestamp, e.direction, e.function, e.task) for e in events))
+    """The functions each task entered, replayed from events; the first task
+    with a mismatched exit raises, and open calls are not checked.  The events
+    go through the same line checks as a trace's text, so an event whose
+    task's clock goes backwards raises `ParseError`, numbered by its 1-based
+    position in `events`."""
+    return _entered(*_replay(
+        (str(e.timestamp), e.direction.value, e.function, e.task) for e in events
+    ))
 
 
 def minimal_set(graphs: Mapping[str, Set[str]], tasks: Iterable[str]) -> set[str]:
@@ -200,8 +235,22 @@ def emit_report(inventory: Iterable[str], required: Iterable[str]) -> ExclusionR
         raise UnknownFunction(
             f"traced but not in the inventory: {', '.join(sorted(strays))}"
         )
+    malformed = sorted(fn for fn in inv if not _IDENTIFIER.match(fn))
+    if malformed:
+        raise DirectiveClash(
+            f"inventory names that are not identifiers: {', '.join(map(repr, malformed))}"
+        )
     excluded = inv - req
-    directives = tuple(directive_for(fn) for fn in sorted(excluded))
+    names = sorted(excluded)
+    directives = tuple(directive_for(fn) for fn in names)
+    kept = {directive_for(fn): fn for fn in req}
+    clashes = [
+        f"{directive} for excluded {fn} would exclude required {kept[directive]}"
+        for fn, directive in zip(names, directives)
+        if directive in kept
+    ]
+    if clashes:
+        raise DirectiveClash("; ".join(clashes))
     ratio = len(excluded) / len(inv) if inv else 0.0
     return ExclusionReport(
         inventory=inv,

@@ -216,6 +216,21 @@ def test_trace_untracked_function_fails(tmp_path, capsys):
     assert "main_loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("names", "named"), [
+    ("foo\nFoo\n", "CFG_EXCL_FOO for excluded Foo would exclude required foo"),
+    ("foo\nfo-o\n", "'fo-o'"),
+])
+def test_trace_refuses_a_directive_it_cannot_emit(tmp_path, capsys, names, named):
+    trace = tmp_path / "one.trace"
+    trace.write_text("1 E foo t\n2 X foo t\n")
+    inventory = tmp_path / "inventory.txt"
+    inventory.write_text(names)
+    assert main(["trace", str(trace), "--inventory", str(inventory)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
 def test_trace_unknown_task_fails(capsys):
     code = main(
         [

@@ -75,7 +75,7 @@ DELETED = {
     "teeguard.sense.modelio": {
         "_cnn_arrays", "_attention_arrays", "_cnn_shapes", "_attention_shapes", "_read_arrays"
     },
-    "teeguard.tcbtrace": {"CallGraph", "reachable", "merge_graphs"},
+    "teeguard.tcbtrace": {"CallGraph", "reachable", "merge_graphs", "_scan"},
 }
 
 

@@ -1,13 +1,17 @@
 """Trace parsing, the replay of the functions each task entered, and exclusion
 report generation."""
 
+import hashlib
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teeguard.tcbtrace import (
+    DirectiveClash,
     Direction,
     MismatchedExit,
     ParseError,
@@ -95,7 +99,7 @@ def test_bad_timestamp_rejected():
 
 @pytest.mark.parametrize("stamp", ["\u00b2", "\u0661\u0662"])
 def test_non_ascii_digit_timestamps_rejected(stamp):
-    # "²" used to escape as a bare ValueError from int(); "١٢" was read as 12
+    # "\u00b2" used to escape as a bare ValueError from int(); "\u0661\u0662" was read as 12
     text = f"{stamp} E f t\n{stamp} X f t\n"
     for read in (parse_trace, lambda trace: analyze([trace], ["f"])):
         with pytest.raises(ParseError, match="bad timestamp") as info:
@@ -114,6 +118,27 @@ def test_huge_timestamps_rejected_before_conversion():
     assert parse_trace(padded)[0].timestamp == 1
     assert analyze([padded], ["f"]).required == {"f"}
     assert parse_trace("0" * 5000 + " E f t\n0 X f t\n")[0].timestamp == 0
+    # below 20 digits a timestamp is converted as is; from 20 on, zeros go first
+    top = (1 << 64) - 1
+    accepted = {
+        str(top): top,
+        "0" + str(top): top,
+        "9" * 19: 10**19 - 1,
+        "0" * 18 + "7": 7,
+        "0" * 19 + "7": 7,
+        "0" * 20 + "7": 7,
+    }
+    for stamp, value in accepted.items():
+        text = f"{stamp} E f t\n{stamp} X f t\n"
+        assert parse_trace(text)[0].timestamp == value
+        assert task_graphs(text) == {"t": {"f"}}
+        assert analyze([text], ["f"]).required == {"f"}
+    for stamp in (str(1 << 64), "0" + str(1 << 64), "1" + "0" * 20):
+        text = f"0 E f t\n{stamp} X f t\n"
+        for read in (parse_trace, task_graphs, lambda trace: analyze([trace], ["f"])):
+            with pytest.raises(ParseError, match="outside u64 range") as info:
+                read(text)
+            assert info.value.lineno == 2
 
 
 def test_bad_identifier_rejected():
@@ -191,6 +216,101 @@ def test_one_pass_graphs_equal_parse_then_build(text):
     reference = build_task_graphs(parse_trace(text))
     assert graphs == reference
     assert list(graphs) == list(reference)
+
+
+# Timestamps that the line checks refuse or that take the zero-strip path,
+# the u64 bounds included.
+ODD_STAMPS = (
+    "\u00b2", "\u0661\u0662", "+1", "1_0", "1" + "0" * 5000, str((1 << 64) - 1), str(1 << 64),
+)
+
+
+def corpus_trace(rng):
+    """A small balanced trace over up to three tasks in which at most one line
+    is mutated, by one or two faults, or inserted as a copy of the line before
+    it (an enter that never exits, or an exit with no matching enter)."""
+    tasks = [f"t{i}" for i in range(rng.randint(1, 3))]
+    clocks = {task: rng.randint(1, 3) for task in tasks}
+    stacks = {task: [] for task in tasks}
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        task = rng.choice(tasks)
+        clocks[task] += rng.randint(0, 3)
+        if stacks[task] and rng.random() < 0.5:
+            rows.append([str(clocks[task]), "X", stacks[task].pop(), task])
+        else:
+            stacks[task].append(rng.choice("abcd"))
+            rows.append([str(clocks[task]), "E", stacks[task][-1], task])
+    for task in tasks:
+        while stacks[task]:
+            clocks[task] += 1
+            rows.append([str(clocks[task]), "X", stacks[task].pop(), task])
+    separators = [" "] * len(rows)
+    faults = rng.choice((0, 1, 1, 2))
+    if faults:
+        at = rng.randrange(len(rows) + 1)
+        if at == len(rows) or rng.random() < 0.3:
+            rows.insert(at, list(rows[at - 1]) if at else ["1", "E", "a", "t0"])
+            separators.insert(at, " ")
+        line = rows[at]
+        for _ in range(faults):
+            kind = rng.randrange(12)
+            if kind == 0:
+                line[0:1] = [rng.choice(ODD_STAMPS)]
+            elif kind == 1:
+                line[0:1] = ["0" * rng.randint(1, 25) + (line[0] if line else "1")]
+            elif kind == 2:
+                line[0:1] = ["0"]  # backwards unless it is the task's first line
+            elif kind == 3:
+                line[1:2] = [rng.choice(("Q", "e", "EX", "\u0415"))]
+            elif kind == 4:
+                line[2:3] = [rng.choice(("f%o", "fo-o", "\u00e9", "a.b"))]
+            elif kind == 5:
+                line[3:4] = [rng.choice(("t%1", "t-1", "\u00e9", "a.b"))]
+            elif kind == 6 and line:
+                del line[rng.randrange(len(line))]  # 3 fields
+            elif kind == 7:
+                line.insert(rng.randrange(len(line) + 1), "x")  # 5 fields
+            elif kind == 8:
+                separators[at] = rng.choice(("\t", "\x0b", "\x1c", "\u2028"))
+            elif kind == 9:
+                line[:] = ["", ""]  # blank, or two blank lines after a line-breaking separator
+            elif kind == 10:
+                line[0:1] = ["#" + (line[0] if line else "")]
+            elif kind == 11:
+                line[2:3] = [rng.choice("abcdz")]  # an exit that may match no enter
+    return "\n".join(sep.join(fields) for sep, fields in zip(separators, rows)) + "\n"
+
+
+def outcome(read, text):
+    """What `read` returns for `text`, or its exception's type, line and message."""
+    try:
+        return read(text)
+    except Exception as exc:  # whatever its type: the type is part of the outcome
+        return type(exc).__name__, getattr(exc, "lineno", None), str(exc)
+
+
+def test_mutated_corpus_outcomes_are_pinned():
+    # For each trace: task_graphs' graphs in task order and parse_trace's
+    # events, or the type, line and message of the exception each raised.  The
+    # digest was taken from the two-pass reader (a line scanner feeding a
+    # separate replay), so it pins that reader's results; a line with two
+    # faults pins the order of the line checks.
+    digest = hashlib.sha256()
+    kinds = Counter()
+    rng = random.Random(18)
+    for _ in range(2000):
+        text = corpus_trace(rng)
+        graphs = outcome(task_graphs, text)
+        events = outcome(parse_trace, text)
+        if isinstance(graphs, dict):
+            graphs = [(task, sorted(functions)) for task, functions in graphs.items()]
+        if isinstance(events, list):
+            events = [(e.timestamp, e.direction.value, e.function, e.task) for e in events]
+        kinds[graphs[0] if isinstance(graphs, tuple) else "graphs"] += 1
+        digest.update(repr((graphs, events)).encode())
+    assert set(kinds) == {"graphs", "ParseError", "UnbalancedTrace", "MismatchedExit"}
+    assert digest.hexdigest() == "7a190a9b16fcd42b4a0f6896304a2a9959e459ac47a7e35ec1d2099582a27f08"
 
 
 def test_parse_error_beats_an_earlier_mismatched_exit():
@@ -287,6 +407,22 @@ def test_report_empty_inventory():
 def test_report_rejects_untracked_functions():
     with pytest.raises(UnknownFunction, match="mystery"):
         emit_report(["a"], ["a", "mystery"])
+
+
+def test_report_refuses_a_directive_that_excludes_a_required_function():
+    # CFG_EXCL_FOO, emitted for the excluded Foo, would also cut the traced foo
+    clash = "CFG_EXCL_FOO for excluded Foo would exclude required foo"
+    with pytest.raises(DirectiveClash, match=clash):
+        analyze(["1 E foo t\n2 X foo t\n"], ["foo", "Foo"])
+    with pytest.raises(DirectiveClash, match="Bar.*BAR"):
+        emit_report(["bar", "Bar", "BAR", "baz"], ["BAR"])
+
+
+def test_report_refuses_inventory_names_that_are_not_identifiers():
+    with pytest.raises(DirectiveClash, match="'a b', 'fo-o'"):
+        emit_report(["run", "fo-o", "a b"], ["run"])
+    with pytest.raises(DirectiveClash, match="'fo-o'"):
+        analyze(["1 E run t\n2 X run t\n"], ["run", "fo-o"])
 
 
 def test_directive_shape():
