@@ -33,12 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import Label, keyword_label, keyword_set
+from .words import UNKNOWN_WORD, Label, keyword_label, keyword_set
 
 SAMPLE_MIN = -32768
 SAMPLE_MAX = 32767
 WORD_LENGTH = 16
-SAMPLE_RATE_HZ = 16_000  # nominal metadata; no real-time clocking
 
 # Filler vocabulary for the synthetic corpus, smart-home flavored.  The
 # generator appends "wordNN" tokens when asked for more than are listed here.
@@ -50,8 +49,6 @@ _BASE_VOCAB = (
     "fan start vacuum show camera feed living room kitchen bedroom answer "
     "dim brightness alarm nine ten thirty news sports traffic"
 ).split()
-
-_RESERVED_WORDS = frozenset({"unk"})
 
 
 class MalformedStream(ValueError):
@@ -145,6 +142,8 @@ class GeneratorConfig:
             raise ValueError("word count range is invalid")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be positive")
+        if not self.keywords:
+            raise ValueError("keyword list is empty")
         if len(self.keywords) + self.vocab_size > SAMPLE_MAX:
             raise ValueError("every lexicon symbol must fit a positive int16 sample")
         # keyword_label matches whole split_words tokens, so it never matches
@@ -153,10 +152,12 @@ class GeneratorConfig:
         unmatched = [k for k in self.keywords if keyword_label(k, (k,)) is Label.BENIGN]
         if unmatched:
             raise ValueError(f"each keyword must be one ASCII alphanumeric word: {unmatched}")
+        if UNKNOWN_WORD in keyword_set(self.keywords):
+            raise ValueError(f"{UNKNOWN_WORD!r} is reserved for unknown words")
 
 
 def filler_vocabulary(config: GeneratorConfig) -> list[str]:
-    banned = {k.lower() for k in config.keywords} | _RESERVED_WORDS
+    banned = keyword_set(config.keywords) | {UNKNOWN_WORD}
     vocab = [w for w in _BASE_VOCAB if w not in banned]
     index = 0
     while len(vocab) < config.vocab_size:

@@ -3,16 +3,14 @@
 Options come from an INI-style config file, command-line flags, or both;
 flags win.  Metrics are emitted as a single JSON document when asked.
 
-Each subcommand's handler imports the modules it runs, so `serve` and
-`trace` start without numpy or any secure-side module.
+Each subcommand's handler imports the modules only it runs, the standard
+library's included, so `serve` and `trace` start without numpy or any
+secure-side module.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import dataclasses
-import json
 import signal
 import sys
 import threading
@@ -42,13 +40,6 @@ def _parse_keywords(text: str) -> tuple[str, ...]:
     if not words:
         raise ValueError("keyword list is empty")
     return words
-
-
-def _load_config_file(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
-    return parser
 
 
 # One row per config field: (field, flag attribute or None, INI section,
@@ -91,8 +82,9 @@ _PIPELINE_OPTIONS = (
 )
 
 
-def _options(rows, args: argparse.Namespace, cp: configparser.ConfigParser | None) -> dict:
-    """Keyword arguments for one config dataclass from flags and the file."""
+def _options(rows, args: argparse.Namespace, cp) -> dict:
+    """Keyword arguments for one config dataclass from flags and the parsed
+    config file `cp` (None without a file)."""
     values = {}
     for name, flag, section, key, cast in rows:
         value = getattr(args, flag) if flag else None
@@ -104,11 +96,17 @@ def _options(rows, args: argparse.Namespace, cp: configparser.ConfigParser | Non
 
 
 def _pipeline_config(args: argparse.Namespace):
+    import configparser
+
     from .audio import GeneratorConfig
     from .pipeline import ClassifierConfig, PipelineConfig
     from .sense import TrainConfig
 
-    cp = _load_config_file(args.config) if args.config else None
+    cp = None
+    if args.config:
+        cp = configparser.ConfigParser()
+        with open(args.config, encoding="utf-8") as fh:
+            cp.read_file(fh)
     classifier = ClassifierConfig(
         train=TrainConfig(**_options(_TRAIN_OPTIONS, args, cp)),
         **_options(_CLASSIFIER_OPTIONS, args, cp),
@@ -122,6 +120,8 @@ def _pipeline_config(args: argparse.Namespace):
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    import json
+
     from .pipeline import run_pipeline
 
     config = _pipeline_config(args)
@@ -142,6 +142,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from .sense import TrainConfig, evaluate, load_corpus, save_model, train
 
     samples = load_corpus(args.corpus)

@@ -103,8 +103,7 @@ class SecureAudioDriver:
         self.buffer_base = base
         self.overrun_count = 0
         self.next_sequence = 0
-        self._head = 0  # next slot to read
-        self._tail = 0  # next slot to write
+        self._head = 0  # next slot to read; the next to write is _count slots on
         self._count = 0
         self._lock = threading.Lock()
 
@@ -147,8 +146,7 @@ class SecureAudioDriver:
             rejected = len(samples) - accepted
             if accepted:
                 data = samples[:accepted].astype("<i2").tobytes()
-                self._write_slots(self._tail, data)
-                self._tail = (self._tail + accepted) % self.capacity
+                self._write_slots((self._head + self._count) % self.capacity, data)
                 self._count += accepted
             self.overrun_count += rejected
         return accepted

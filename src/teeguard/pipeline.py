@@ -4,7 +4,11 @@ One loop takes each utterance through every stage in turn: capture and
 encode at the microphone, ingest into the secure ring, then the trusted
 side reads the block back through the PTA, transcribes, classifies,
 filters and relays it.  The world context stays SECURE from capture to
-filter; only the relay switches to the normal world and back.  The loop
+filter; only the relay switches to the normal world and back.  Capture and
+encode stand for the microphone and the I2S bus, hardware that runs in no
+world, and ``ingest`` is the first code that touches the samples; running
+them under NORMAL would add two switches per utterance and break the
+accounting of exactly two switches per forwarded payload.  The loop
 reads exactly what it ingests, so the ring never overruns, and runs are
 reproducible for a given seed.  Everything runs on the calling thread.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import tee
 from .audio import (
@@ -120,16 +124,7 @@ class RunMetrics:
     latency_us: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "processed": self.processed,
-            "sensitive": self.sensitive,
-            "redacted": self.redacted,
-            "forwarded": self.forwarded,
-            "switches": self.switches,
-            "cost_units": self.cost_units,
-            "bytes_sent": self.bytes_sent,
-            "latency_us": list(self.latency_us),
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -185,8 +185,8 @@ class PtaBridge:
 
     driver: SecureAudioDriver
     memory: tee.Memory
-    _sessions: set[int] = field(default_factory=set)
-    _next_session: int = 1
+    _sessions: set[int] = field(default_factory=set, init=False)
+    _next_session: int = field(default=1, init=False)
 
     def open_session(self) -> int:
         session = self._next_session

@@ -7,10 +7,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ..driver import EncodedBlock
-from ..words import split_words
+from ..words import UNKNOWN_WORD, split_words
 
-UNKNOWN_INDEX = 0
-UNKNOWN_WORD = "unk"  # reserved: never enters a vocabulary, so it maps back to index 0
+UNKNOWN_INDEX = 0  # what UNKNOWN_WORD, which never enters a vocabulary, maps to
 
 
 class MissingPayload(ValueError):
@@ -40,6 +39,8 @@ class Vocab:
 
     @classmethod
     def from_texts(cls, texts: Iterable[str], max_size: int | None = None) -> "Vocab":
+        if max_size is not None and max_size < 1:
+            raise ValueError(f"max_size must be at least 1, got {max_size}")
         counts: dict[str, int] = {}
         for text in texts:
             for word in split_words(text):

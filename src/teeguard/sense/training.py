@@ -120,19 +120,16 @@ def _init_model(architecture: str, vocab_size: int, config: TrainConfig) -> Mode
         return init_cnn(vocab_size, config.dim, config.filters, config.width, rng)
     if architecture == "attention":
         return init_attention(vocab_size, config.dim, rng)
-    if architecture == "hybrid":
-        return init_hybrid(vocab_size, config.dim, config.filters, config.width, rng)
-    raise UnknownArchitecture(f"unknown architecture {architecture!r}")
+    return init_hybrid(vocab_size, config.dim, config.filters, config.width, rng)
 
 
 def train(
     architecture: str,
     samples: Sequence[tuple[str, Label]],
     config: TrainConfig,
-    vocab: Vocab | None = None,
 ) -> TrainResult:
-    """Fit one architecture on labeled texts.  The vocabulary is built from
-    the training texts unless one is supplied."""
+    """Fit one architecture on labeled texts, with a vocabulary built from
+    the training texts."""
     if architecture not in ARCHITECTURES:
         raise UnknownArchitecture(f"unknown architecture {architecture!r}")
     if not samples:
@@ -141,8 +138,7 @@ def train(
     if len(labels) < 2:
         raise DegenerateCorpus("corpus must contain both labels")
 
-    if vocab is None:
-        vocab = Vocab.from_texts([text for text, _ in samples], config.vocab_size)
+    vocab = Vocab.from_texts([text for text, _ in samples], config.vocab_size)
     model = _init_model(architecture, vocab.size, config)
     token_lists = [tokenize(text, vocab) for text, _ in samples]
     grouped = group_by_length(token_lists, [label for _, label in samples], min_length(model))

@@ -73,8 +73,12 @@ class TraceEvent:
     task: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
+            raise ValueError(f"timestamp must be an int, got {self.timestamp!r}")
         if not 0 <= self.timestamp < TIMESTAMP_LIMIT:
             raise ValueError("timestamp outside u64 range")
+        if not isinstance(self.direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
         for name in (self.function, self.task):
             if not _IDENTIFIER.match(name):
                 raise ValueError(f"bad identifier {name!r}")
@@ -241,12 +245,11 @@ def emit_report(inventory: Iterable[str], required: Iterable[str]) -> ExclusionR
             f"inventory names that are not identifiers: {', '.join(map(repr, malformed))}"
         )
     excluded = inv - req
-    names = sorted(excluded)
-    directives = tuple(directive_for(fn) for fn in names)
+    per_name = [(fn, directive_for(fn)) for fn in sorted(excluded)]
     kept = {directive_for(fn): fn for fn in req}
     clashes = [
         f"{directive} for excluded {fn} would exclude required {kept[directive]}"
-        for fn, directive in zip(names, directives)
+        for fn, directive in per_name
         if directive in kept
     ]
     if clashes:
@@ -256,7 +259,7 @@ def emit_report(inventory: Iterable[str], required: Iterable[str]) -> ExclusionR
         inventory=inv,
         required=req,
         excluded=excluded,
-        directives=directives,
+        directives=tuple(dict.fromkeys(directive for _, directive in per_name)),
         reduction_ratio=ratio,
     )
 

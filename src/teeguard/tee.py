@@ -156,9 +156,16 @@ class Memory:
         self.asc = asc
         self._backing: dict[int, bytearray] = {}
 
-    def _locate(self, base: int, length: int) -> tuple[bytearray, int]:
-        """Backing store of the one region holding the range, and the range's
-        offset in it.  A region gets its store on first access."""
+    def _locate(
+        self, world: World, mode: AccessMode, base: int, length: int
+    ) -> tuple[bytearray, int]:
+        """Once the world's access is allowed, the backing store of the one
+        region holding the range and the range's offset in it.  A region gets
+        its store on first access."""
+        if self.asc.check_access(world, base, length, mode) is Decision.DENY:
+            raise AccessViolation(
+                f"{world.name} world {mode.value} of [{base:#x}, +{length:#x}) denied"
+            )
         end = base + length
         for region in self.asc.regions:
             if region.base <= base and end <= region.base + region.length:
@@ -175,11 +182,7 @@ class Memory:
         backing store and shows every later write into the range: a block
         parsed from a view of the PTA's out region stays valid until the next
         read command writes into that region."""
-        if self.asc.check_access(world, base, length, AccessMode.READ) is Decision.DENY:
-            raise AccessViolation(
-                f"{world.name} world read of [{base:#x}, +{length:#x}) denied"
-            )
-        store, offset = self._locate(base, length)
+        store, offset = self._locate(world, AccessMode.READ, base, length)
         return memoryview(store).toreadonly()[offset : offset + length]
 
     def read(self, world: World, base: int, length: int) -> bytes:
@@ -190,11 +193,7 @@ class Memory:
         length = len(data)
         if not length:
             return
-        if self.asc.check_access(world, base, length, AccessMode.WRITE) is Decision.DENY:
-            raise AccessViolation(
-                f"{world.name} world write of [{base:#x}, +{length:#x}) denied"
-            )
-        store, offset = self._locate(base, length)
+        store, offset = self._locate(world, AccessMode.WRITE, base, length)
         store[offset : offset + length] = data
 
 
@@ -204,12 +203,13 @@ class WorldContext:
 
     current: World = World.SECURE
     cost_per_switch: int = 1
-    switch_count: int = field(default=0)
-    switch_cost_units: int = field(default=0)
+    switch_count: int = field(default=0, init=False)
 
-    def world_switch(self, target: World) -> "WorldContext":
+    @property
+    def switch_cost_units(self) -> int:
+        return self.switch_count * self.cost_per_switch
+
+    def world_switch(self, target: World) -> None:
         if target is not self.current:
             self.current = target
             self.switch_count += 1
-            self.switch_cost_units += self.cost_per_switch
-        return self

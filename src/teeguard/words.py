@@ -13,6 +13,8 @@ from collections.abc import Iterable
 
 _WORD_RUN = re.compile(r"[a-z0-9]+")
 
+UNKNOWN_WORD = "unk"  # reserved for the unknown token: no vocabulary, keyword or filler word
+
 ARCHITECTURES = ("cnn", "attention", "hybrid")  # trained classifiers
 ARCHITECTURE_CHOICES = ("oracle", *ARCHITECTURES)  # oracle: the keyword rule itself
 

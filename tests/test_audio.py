@@ -366,3 +366,7 @@ def test_generator_config_validation():
         GeneratorConfig(min_words=5, max_words=4)
     with pytest.raises(ValueError):
         GeneratorConfig(vocab_size=0)
+    # no keyword to match, or one that the vocabulary reserves for unknown words
+    for keywords in ((), ("unk",), ("UNK", "pin")):
+        with pytest.raises(ValueError):
+            GeneratorConfig(keywords=keywords)

@@ -449,6 +449,8 @@ def test_serve_loads_nothing_secure_side():
     assert "received 0 payloads, rejected 0" in out
     assert err == ""
     assert secure_side_modules(out) == []
+    # the config-file parser and the metrics encoder belong to `pipeline`
+    assert not {"configparser", "json"} & set(out.splitlines()[-1].split())
 
 
 def test_trace_loads_nothing_secure_side():

@@ -23,13 +23,17 @@ from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import teeguard
-from teeguard import audio, cli, tcbtrace
+from teeguard import audio, cli, tcbtrace, tee
 from teeguard.audio import GeneratorConfig, make_labeled_corpus
 from teeguard.cloud import MockCloud
 from teeguard.driver import EncodedBlock, SecureAudioDriver
+from teeguard.pta import PtaBridge
 from teeguard.relay import FRAME_HEADER, RelayPacket, encode_frame
-from teeguard.sense import ARCHITECTURES, save_corpus
+from teeguard.sense import ARCHITECTURES, TrainConfig, Vocab, save_corpus, train
+from teeguard.words import Label
 
 DATA = Path(__file__).parent / "data"
 
@@ -272,3 +276,32 @@ def test_removed_layers_and_knobs_stay_removed():
     # the transcript travels in the PCM only, never beside it
     assert "payload_text" not in inspect.signature(SecureAudioDriver.ingest).parameters
     assert "attached_text" not in {f.name for f in dataclasses.fields(EncodedBlock)}
+
+
+def _bridge(**state) -> PtaBridge:
+    asc = tee.AddressSpaceController()
+    memory = tee.Memory(asc)
+    return PtaBridge(SecureAudioDriver(asc, memory, 16), memory, **state)
+
+
+# State that only its owner writes, and an option that no caller passed.
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: tee.WorldContext(switch_count=1),
+        lambda: tee.WorldContext(switch_cost_units=1),
+        lambda: _bridge(_sessions=set()),
+        lambda: _bridge(_next_session=5),
+        lambda: train(
+            "cnn",
+            [("my pin", Label.SENSITIVE), ("lights on", Label.BENIGN)],
+            TrainConfig(epochs=1),
+            vocab=Vocab({"pin": 1}),
+        ),
+    ],
+    ids=["switch_count", "switch_cost_units", "_sessions", "_next_session", "train_vocab"],
+)
+def test_removed_settable_values_are_refused(construct):
+    with pytest.raises(TypeError):
+        construct()
+

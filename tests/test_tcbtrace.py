@@ -209,6 +209,15 @@ def test_mismatched_exit_detected_at_build():
         build_task_graphs([TraceEvent(1, Direction.EXIT, "a", "t")])
 
 
+@pytest.mark.parametrize(
+    "timestamp, direction",
+    [(1.5, Direction.ENTER), (True, Direction.ENTER), (1, "E")],
+)
+def test_event_refuses_a_timestamp_or_direction_of_the_wrong_type(timestamp, direction):
+    with pytest.raises(ValueError, match="timestamp must be an int|direction must be a Direction"):
+        TraceEvent(timestamp, direction, "a", "t")
+
+
 @settings(max_examples=150)
 @given(balanced_trace())
 def test_one_pass_graphs_equal_parse_then_build(text):
@@ -423,6 +432,14 @@ def test_report_refuses_inventory_names_that_are_not_identifiers():
         emit_report(["run", "fo-o", "a b"], ["run"])
     with pytest.raises(DirectiveClash, match="'fo-o'"):
         analyze(["1 E run t\n2 X run t\n"], ["run", "fo-o"])
+
+
+def test_report_emits_each_directive_once():
+    # foo and Foo share a directive; it is listed once, where Foo first gives it
+    report = emit_report(["a", "foo", "Foo", "zed"], ["a"])
+    assert report.directives == ("CFG_EXCL_FOO", "CFG_EXCL_ZED")
+    assert report.excluded == {"foo", "Foo", "zed"}
+    assert render_report(report).count("CFG_EXCL_FOO") == 1
 
 
 def test_directive_shape():

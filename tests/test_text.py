@@ -89,6 +89,10 @@ def test_from_texts_truncates_to_max_size():
     vocab = Vocab.from_texts(["a b c d e"], max_size=3)
     assert vocab.size == 3
     assert set(vocab.index) == {"a", "b"}
+    assert Vocab.from_texts(["a b c"], max_size=1).index == {}
+    for max_size in (0, -1):
+        with pytest.raises(ValueError, match="max_size"):
+            Vocab.from_texts(["a b c"], max_size=max_size)
 
 
 def test_from_texts_never_admits_reserved_word():

@@ -106,15 +106,11 @@ def test_trained_parameters_stay_finite():
         assert np.isfinite(param).all()
 
 
-def test_vocab_built_from_corpus_unless_supplied():
+def test_vocab_built_from_corpus():
     result = train("cnn", CORPUS, TrainConfig(epochs=1))
     assert result.vocab.size <= TrainConfig().vocab_size
     corpus_words = {w for text, _ in CORPUS for w in text.split()}
     assert set(result.vocab.index) <= corpus_words
-
-    fixed = Vocab({"password": 1, "lights": 2})
-    result = train("cnn", CORPUS, TrainConfig(epochs=1), vocab=fixed)
-    assert result.vocab is fixed
 
 
 def test_empty_corpus_rejected():
