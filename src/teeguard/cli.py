@@ -36,10 +36,7 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def _parse_keywords(text: str) -> tuple[str, ...]:
-    words = tuple(w.strip() for w in text.split(",") if w.strip())
-    if not words:
-        raise ValueError("keyword list is empty")
-    return words
+    return tuple(w.strip() for w in text.split(",") if w.strip())
 
 
 # One row per config field: (field, flag attribute or None, INI section,
@@ -126,16 +123,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     config = _pipeline_config(args)
     result = run_pipeline(config)
-    m = result.metrics
-    print(
-        "processed={} sensitive={} redacted={} forwarded={} switches={} "
-        "cost_units={} bytes_sent={}".format(
-            m.processed, m.sensitive, m.redacted, m.forwarded, m.switches,
-            m.cost_units, m.bytes_sent,
-        )
-    )
+    metrics = result.metrics.to_dict()
+    print(" ".join(f"{k}={v}" for k, v in metrics.items() if k != "latency_us"))
     if args.metrics_out:
-        Path(args.metrics_out).write_text(json.dumps(m.to_dict(), indent=2) + "\n")
+        Path(args.metrics_out).write_text(json.dumps(metrics, indent=2) + "\n")
     if args.log_out:
         Path(args.log_out).write_text(result.log.render() + "\n")
     return 0

@@ -51,13 +51,9 @@ class EncodedBlock:
         if len(self.payload) != self.frame_count * FRAME_BYTES:
             raise ValueError("payload length must be frame_count * 4 bytes")
 
-    @property
-    def payload_length(self) -> int:
-        return len(self.payload)
-
     def header(self) -> bytes:
         """The wire image's header; the payload follows it unchanged."""
-        return HEADER.pack(BLOCK_MAGIC, self.sequence, self.frame_count, self.payload_length)
+        return HEADER.pack(BLOCK_MAGIC, self.sequence, self.frame_count, len(self.payload))
 
     @classmethod
     def from_bytes(cls, data: bytes | memoryview) -> "EncodedBlock":

@@ -30,7 +30,6 @@ from .audio import (
 )
 from .driver import EncodedBlock, SecureAudioDriver, block_size
 from .pta import (
-    CMD_GET_STATUS,
     CMD_READ_AUDIO,
     MEMREF_FIELD_LIMIT,
     MemRefParam,
@@ -135,11 +134,6 @@ class RunResult:
     sent_payloads: list[bytes]  # relay payload bytes in send order
 
 
-def _oracle_vocab(generator: GeneratorConfig) -> Vocab:
-    words = lexicon(generator)
-    return Vocab.from_texts([" ".join(words)], max_size=len(words) + 1)
-
-
 def build_classifier(
     config: PipelineConfig,
 ) -> tuple[Vocab, Callable[[Transcript], Verdict]]:
@@ -150,7 +144,7 @@ def build_classifier(
         # built once: every lexicon word is one token with its own id in the
         # oracle vocabulary, so a keyword is spoken iff its id is among the
         # transcript's tokens.  The threshold lies strictly between the scores.
-        vocab = _oracle_vocab(config.generator)
+        vocab = Vocab.from_texts([" ".join(lexicon(config.generator))])
         keyword_ids = frozenset(vocab.index[k] for k in keyword_set(config.generator.keywords))
         hit = Verdict(score=1.0, label=Label.SENSITIVE)
         miss = Verdict(score=0.0, label=Label.BENIGN)
@@ -196,7 +190,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
         read_cmd = PtaCommand(
             session, CMD_READ_AUDIO, (MemRefParam(out_region, 0, out_len), ValueParam(count))
         )
-        ctx = tee.WorldContext(cost_per_switch=config.cost_per_switch)
+        ctx = tee.WorldContext()
         channel = SecureChannel(transport if transport is not None else TcpTransport())
         channel.connect(config.endpoint)
     except Exception as exc:
@@ -248,16 +242,10 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                     sequence = channel.send(decision.flags, payload, ctx)
                     metrics.forwarded += 1
                     sent_payloads.append(payload)
-                log.append(RedactionRecord(sequence, verdict.score, verdict.label, decision.action))
+                log.records.append(RedactionRecord(sequence, verdict.score, verdict.label, decision.action))
                 metrics.latency_us.append((time.perf_counter() - started) * 1e6)
         except Exception as exc:
             raise PipelineError(stage, exc) from exc
-
-        status_resp = bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
-        if status_resp.status is not PtaStatus.OK:
-            raise PipelineError("read", f"status command returned {status_resp.status.name}")
-        if status_resp.params[1].a != 0:
-            raise PipelineError("ingest", f"{status_resp.params[1].a} frames overran the ring")
     finally:
         try:
             channel.close()
@@ -266,7 +254,7 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
         bridge.close_session(session)
 
     metrics.switches = ctx.switch_count
-    metrics.cost_units = ctx.switch_cost_units
+    metrics.cost_units = ctx.switch_count * config.cost_per_switch
     metrics.bytes_sent = channel.bytes_sent
     return RunResult(
         metrics=metrics, log=log, utterances=utterances, sent_payloads=sent_payloads

@@ -15,7 +15,6 @@ Commands:
         The out buffer must lie in a secure-only region (ACCESS_DENIED
         otherwise) and must not be the driver's own ring (BAD_PARAMETERS).
         Both are refused before the driver dequeues anything.
-    CMD_GET_STATUS (0x02): out slot0 = value(a=occupancy), slot1 = value(a=overruns)
 
 A TA-to-bridge invoke stays inside the secure world and never counts as a
 world switch; normal-world callers are rejected outright.
@@ -31,7 +30,6 @@ from . import tee
 from .driver import HEADER, SecureAudioDriver, block_size
 
 CMD_READ_AUDIO = 0x01
-CMD_GET_STATUS = 0x02
 
 _HEAD = struct.Struct("<II")
 _PARAM_VALUE = struct.Struct("<III")
@@ -205,14 +203,6 @@ class PtaBridge:
             return PtaResponse(PtaStatus.ACCESS_DENIED)
         if cmd.session not in self._sessions:
             return PtaResponse(PtaStatus.BAD_SESSION)
-        if cmd.cmd_id == CMD_GET_STATUS:
-            return PtaResponse(
-                PtaStatus.OK,
-                (
-                    ValueParam(self.driver.occupancy()),
-                    ValueParam(self.driver.overrun_count),
-                ),
-            )
         if cmd.cmd_id == CMD_READ_AUDIO:
             return self._read_audio(cmd, ctx)
         return PtaResponse(PtaStatus.UNKNOWN_COMMAND)

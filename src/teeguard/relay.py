@@ -201,13 +201,11 @@ class RecordingTransport:
 
     def __init__(self):
         self.connected = False
-        self.endpoint: tuple[str, int] | None = None
         self.sent: list[bytes] = []
         self.packets: list[RelayPacket] = []
 
     def connect(self, endpoint: tuple[str, int]) -> None:
         self.connected = True
-        self.endpoint = endpoint
 
     def exchange(self, frame: bytes) -> bytes:
         if not self.connected:
@@ -300,9 +298,6 @@ class RedactionRecord:
 @dataclass
 class RedactionLog:
     records: list[RedactionRecord] = field(default_factory=list)
-
-    def append(self, record: RedactionRecord) -> None:
-        self.records.append(record)
 
     def render(self) -> str:
         lines = []

@@ -109,8 +109,7 @@ def load_model(path: str | Path) -> Model:
     return model_from_bytes(Path(path).read_bytes())
 
 
-_LABEL_NAMES = {Label.SENSITIVE: "sensitive", Label.BENIGN: "benign"}
-_NAMES_TO_LABEL = {name: label for label, name in _LABEL_NAMES.items()}
+_LABELS = {label.value: label for label in Label}
 
 
 def save_corpus(path: str | Path, samples: Sequence[tuple[str, Label]]) -> None:
@@ -121,7 +120,7 @@ def save_corpus(path: str | Path, samples: Sequence[tuple[str, Label]]) -> None:
     for text, label in samples:
         if "\t" in text or text.splitlines() not in ([], [text]):
             raise ValueError("sample text may not contain tabs or line separators")
-        lines.append(f"{_LABEL_NAMES[label]}\t{text}")
+        lines.append(f"{label.value}\t{text}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -133,7 +132,7 @@ def load_corpus(path: str | Path) -> list[tuple[str, Label]]:
         name, sep, text = line.partition("\t")
         if not sep:
             raise CorpusFormatError(f"line {lineno}: missing tab separator")
-        label = _NAMES_TO_LABEL.get(name)
+        label = _LABELS.get(name)
         if label is None:
             raise CorpusFormatError(f"line {lineno}: unknown label {name!r}")
         samples.append((text, label))

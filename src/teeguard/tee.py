@@ -199,15 +199,10 @@ class Memory:
 
 @dataclass
 class WorldContext:
-    """Tracks which world is executing and the cumulative switch cost."""
+    """Tracks which world is executing and how many switches it has made."""
 
     current: World = World.SECURE
-    cost_per_switch: int = 1
     switch_count: int = field(default=0, init=False)
-
-    @property
-    def switch_cost_units(self) -> int:
-        return self.switch_count * self.cost_per_switch
 
     def world_switch(self, target: World) -> None:
         if target is not self.current:

@@ -266,11 +266,10 @@ def test_pipeline_summary_and_artifacts(tmp_path, capsys):
 
     out = capsys.readouterr().out
     assert out.startswith("processed=30 sensitive=")
-    for key in METRIC_KEYS[:-1]:
-        assert f"{key}=" in out
 
     metrics = json.loads(metrics_path.read_text())
     assert list(metrics) == METRIC_KEYS
+    assert out == " ".join(f"{key}={metrics[key]}" for key in METRIC_KEYS[:-1]) + "\n"
     assert metrics["processed"] == 30
     assert metrics["forwarded"] == received
     assert len(metrics["latency_us"]) == 30
@@ -320,6 +319,9 @@ def test_pipeline_rejects_a_keyword_the_rule_would_split(capsys):
     code = main(["pipeline", "--keywords", "credit card,pin", "--utterances", "1"])
     assert code == 2
     assert "'credit card'" in capsys.readouterr().err
+    # an empty list is refused by the same GeneratorConfig check
+    assert main(["pipeline", "--keywords", ",", "--utterances", "1"]) == 2
+    assert capsys.readouterr().err == "error: keyword list is empty\n"
 
 
 def test_bad_endpoint_rejected_by_parser(capsys):

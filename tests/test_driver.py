@@ -143,7 +143,7 @@ def test_read_block_shape_and_sequence():
     driver.ingest(tagged_stream(0, 32))
     first = driver.read_block(10, tee.World.SECURE, ctx)
     assert first.frame_count == 10
-    assert first.payload_length == 40
+    assert len(first.payload) == 40
     second = driver.read_block(10, tee.World.SECURE, ctx)
     assert second.sequence == first.sequence + 1
     assert driver.occupancy() == 12

@@ -10,7 +10,6 @@ from teeguard import tee
 from teeguard.audio import encode_frames
 from teeguard.driver import FRAME_BYTES, HEADER, EncodedBlock, SecureAudioDriver
 from teeguard.pta import (
-    CMD_GET_STATUS,
     CMD_READ_AUDIO,
     MEMREF_FIELD_LIMIT,
     PARAM_SLOTS,
@@ -32,6 +31,8 @@ import numpy as np
 
 COMMAND_BYTES = 8 + PARAM_SLOTS * 12
 RESPONSE_BYTES = 4 + PARAM_SLOTS * 12
+# No such command: UNKNOWN_COMMAND once the world and session checks pass.
+PROBE = 0x99
 
 
 def make_bridge(capacity=256, out_len=4096):
@@ -75,58 +76,39 @@ def test_many_sessions_counted():
     opened = {bridge.open_session() for _ in range(1000)}
     assert len(opened) == 1000
     for session in opened:
-        assert bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx).status is PtaStatus.OK
+        assert bridge.invoke(PtaCommand(session, PROBE), ctx).status is PtaStatus.UNKNOWN_COMMAND
 
 
 def test_close_removes_only_that_session():
     _, _, bridge, _, ctx = make_bridge()
     sessions = [bridge.open_session() for _ in range(3)]
     assert bridge.close_session(sessions[1]).status is PtaStatus.OK
-    statuses = [bridge.invoke(PtaCommand(s, CMD_GET_STATUS), ctx).status for s in sessions]
-    assert statuses == [PtaStatus.OK, PtaStatus.BAD_SESSION, PtaStatus.OK]
+    statuses = [bridge.invoke(PtaCommand(s, PROBE), ctx).status for s in sessions]
+    assert statuses == [PtaStatus.UNKNOWN_COMMAND, PtaStatus.BAD_SESSION, PtaStatus.UNKNOWN_COMMAND]
 
 
 def test_closed_session_rejected():
     _, _, bridge, _, ctx = make_bridge()
     session = bridge.open_session()
     bridge.close_session(session)
-    resp = bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
+    resp = bridge.invoke(PtaCommand(session, PROBE), ctx)
     assert resp.status is PtaStatus.BAD_SESSION
     assert bridge.close_session(session).status is PtaStatus.BAD_SESSION
 
 
 def test_unknown_session_rejected():
     _, _, bridge, _, ctx = make_bridge()
-    resp = bridge.invoke(PtaCommand(0, CMD_GET_STATUS), ctx)
+    resp = bridge.invoke(PtaCommand(0, PROBE), ctx)
     assert resp.status is PtaStatus.BAD_SESSION
 
 
 # -- dispatch -----------------------------------------------------------------
 
 
-def test_status_on_fresh_driver():
-    _, _, bridge, _, ctx = make_bridge()
-    session = bridge.open_session()
-    resp = bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
-    assert resp.status is PtaStatus.OK
-    assert resp.params[0] == ValueParam(0)
-    assert resp.params[1] == ValueParam(0)
-
-
-def test_status_reports_occupancy_and_overruns():
-    _, driver, bridge, _, ctx = make_bridge(capacity=16)
-    feed(driver, 16)
-    driver.ingest(encode_frames(np.zeros((3, 2), dtype=np.int16)))  # 3 overruns
-    session = bridge.open_session()
-    resp = bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
-    assert resp.params[0] == ValueParam(16)
-    assert resp.params[1] == ValueParam(3)
-
-
 def test_unknown_command():
     _, _, bridge, _, ctx = make_bridge()
     session = bridge.open_session()
-    resp = bridge.invoke(PtaCommand(session, 0x99), ctx)
+    resp = bridge.invoke(PtaCommand(session, PROBE), ctx)
     assert resp.status is PtaStatus.UNKNOWN_COMMAND
 
 
@@ -134,7 +116,7 @@ def test_normal_world_context_denied():
     _, _, bridge, _, _ = make_bridge()
     session = bridge.open_session()
     ctx = tee.WorldContext(current=tee.World.NORMAL)
-    resp = bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
+    resp = bridge.invoke(PtaCommand(session, PROBE), ctx)
     assert resp.status is PtaStatus.ACCESS_DENIED
 
 
@@ -142,10 +124,9 @@ def test_invoke_costs_no_world_switches():
     _, driver, bridge, out_region, ctx = make_bridge()
     feed(driver, 20)
     session = bridge.open_session()
-    bridge.invoke(PtaCommand(session, CMD_GET_STATUS), ctx)
+    bridge.invoke(PtaCommand(session, PROBE), ctx)
     bridge.invoke(read_audio_cmd(session, out_region, 4096, 10), ctx)
     assert ctx.switch_count == 0
-    assert ctx.switch_cost_units == 0
 
 
 # -- READ_AUDIO ---------------------------------------------------------------
@@ -263,7 +244,7 @@ def test_error_responses_carry_no_out_params():
     _, _, bridge, out_region, ctx = make_bridge()
     session = bridge.open_session()
     for resp in (
-        bridge.invoke(PtaCommand(0, CMD_GET_STATUS), ctx),
+        bridge.invoke(PtaCommand(0, PROBE), ctx),
         bridge.invoke(PtaCommand(session, 0x77), ctx),
         bridge.invoke(read_audio_cmd(session, out_region, 4096, 3), ctx),
     ):

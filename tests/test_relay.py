@@ -180,7 +180,6 @@ def test_n_sends_cost_exactly_2n_switches():
     for _ in range(25):
         channel.send(0, b"x", ctx)
     assert ctx.switch_count == 50
-    assert ctx.switch_cost_units == 50 * ctx.cost_per_switch
     assert [p.sequence for p in transport.packets] == list(range(25))
 
 
@@ -304,10 +303,11 @@ def test_sequences_are_monotonic_and_unique():
 
 
 def test_log_render_format():
-    log = RedactionLog()
-    log.append(RedactionRecord(0, 0.9731, Label.SENSITIVE, "mask"))
-    log.append(RedactionRecord(None, 0.88, Label.SENSITIVE, "drop"))
-    log.append(RedactionRecord(1, 0.0215, Label.BENIGN, "forward"))
+    log = RedactionLog([
+        RedactionRecord(0, 0.9731, Label.SENSITIVE, "mask"),
+        RedactionRecord(None, 0.88, Label.SENSITIVE, "drop"),
+        RedactionRecord(1, 0.0215, Label.BENIGN, "forward"),
+    ])
     assert log.render().splitlines() == [
         "0 0.9731 sensitive mask",
         "- 0.8800 sensitive drop",

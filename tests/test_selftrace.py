@@ -31,7 +31,13 @@ from teeguard.audio import GeneratorConfig, make_labeled_corpus
 from teeguard.cloud import MockCloud
 from teeguard.driver import EncodedBlock, SecureAudioDriver
 from teeguard.pta import PtaBridge
-from teeguard.relay import FRAME_HEADER, RelayPacket, encode_frame
+from teeguard.relay import (
+    FRAME_HEADER,
+    RecordingTransport,
+    RedactionLog,
+    RelayPacket,
+    encode_frame,
+)
 from teeguard.sense import ARCHITECTURES, TrainConfig, Vocab, save_corpus, train
 from teeguard.words import Label
 
@@ -74,10 +80,12 @@ ALLOWED_UNREACHED = {
 DELETED = {
     "teeguard.audio": {"UnsupportedWidth", "_require_width", "max_text_bytes"},
     "teeguard.driver": {"_AnnexEntry", "_collect_annex"},
-    "teeguard.pta": {"_error"},
+    "teeguard.pipeline": {"_oracle_vocab"},
+    "teeguard.pta": {"_error", "CMD_GET_STATUS"},
     "teeguard.relay": {"Supplicant", "SupplicantOp", "SupplicantRequest"},
     "teeguard.sense.modelio": {
-        "_cnn_arrays", "_attention_arrays", "_cnn_shapes", "_attention_shapes", "_read_arrays"
+        "_cnn_arrays", "_attention_arrays", "_cnn_shapes", "_attention_shapes", "_read_arrays",
+        "_LABEL_NAMES", "_NAMES_TO_LABEL",
     },
     "teeguard.tcbtrace": {"CallGraph", "reachable", "merge_graphs", "_scan"},
 }
@@ -276,6 +284,12 @@ def test_removed_layers_and_knobs_stay_removed():
     # the transcript travels in the PCM only, never beside it
     assert "payload_text" not in inspect.signature(SecureAudioDriver.ingest).parameters
     assert "attached_text" not in {f.name for f in dataclasses.fields(EncodedBlock)}
+    # names that restated another, or that nothing read
+    transport = RecordingTransport()
+    transport.connect(("host", 1))
+    assert not hasattr(RedactionLog(), "append")
+    assert not hasattr(EncodedBlock(0, 1, bytes(4)), "payload_length")
+    assert not hasattr(transport, "endpoint")
 
 
 def _bridge(**state) -> PtaBridge:
@@ -290,6 +304,7 @@ def _bridge(**state) -> PtaBridge:
     [
         lambda: tee.WorldContext(switch_count=1),
         lambda: tee.WorldContext(switch_cost_units=1),
+        lambda: tee.WorldContext(cost_per_switch=1),
         lambda: _bridge(_sessions=set()),
         lambda: _bridge(_next_session=5),
         lambda: train(
@@ -299,7 +314,10 @@ def _bridge(**state) -> PtaBridge:
             vocab=Vocab({"pin": 1}),
         ),
     ],
-    ids=["switch_count", "switch_cost_units", "_sessions", "_next_session", "train_vocab"],
+    ids=[
+        "switch_count", "switch_cost_units", "cost_per_switch", "_sessions", "_next_session",
+        "train_vocab",
+    ],
 )
 def test_removed_settable_values_are_refused(construct):
     with pytest.raises(TypeError):

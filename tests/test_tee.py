@@ -269,25 +269,6 @@ def test_same_world_switch_is_noop():
     assert ctx.switch_count == 0
 
 
-def test_alternating_switches_accumulate_cost():
-    ctx = WorldContext(current=World.NORMAL, cost_per_switch=3)
-    for i in range(10):
-        ctx.world_switch(World.SECURE if i % 2 == 0 else World.NORMAL)
-    assert ctx.switch_count == 10
-    assert ctx.switch_cost_units == 30
-
-
-@given(
-    st.lists(st.sampled_from([World.SECURE, World.NORMAL]), max_size=50),
-    st.integers(0, 7),
-)
-def test_cost_identity_over_any_switch_sequence(targets, cost):
-    ctx = WorldContext(cost_per_switch=cost)
-    for target in targets:
-        ctx.world_switch(target)
-    assert ctx.switch_cost_units == ctx.switch_count * cost
-
-
 def test_region_repr_mentions_id_and_owner():
     region = MemoryRegion(3, 0x40, 0x10, RegionOwner.SHARED)
     assert "r3" in repr(region) and "SHARED" in repr(region)
