@@ -142,6 +142,8 @@ class GeneratorConfig:
             raise ValueError("word count range is invalid")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be positive")
+        if isinstance(self.keywords, str):
+            raise ValueError("keywords must be a sequence of words, not one string")
         if not self.keywords:
             raise ValueError("keyword list is empty")
         if len(self.keywords) + self.vocab_size > SAMPLE_MAX:

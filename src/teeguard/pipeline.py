@@ -97,6 +97,8 @@ class PipelineConfig:
     frames_per_utterance: int = 160
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.utterances < 1:
             raise ValueError("utterances must be at least 1")
         if self.frames_per_utterance < 1:

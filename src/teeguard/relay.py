@@ -127,8 +127,9 @@ class FilterPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly between 0 and 1")
-        if not self.mask_token:
-            raise ValueError("mask_token must be non-empty")
+        # the collector dumps one payload per line
+        if self.mask_token.splitlines() != [self.mask_token]:
+            raise ValueError("mask_token must be non-empty and hold no line separator")
 
 
 @dataclass(frozen=True)

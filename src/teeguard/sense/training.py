@@ -50,8 +50,10 @@ class TrainConfig:
     vocab_size: int = 80  # enough to cover the default generator's word list
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):  # refuses nan too
+            raise ValueError("learning_rate must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.dim < 1 or self.filters < 1 or self.width < 1:

@@ -80,7 +80,7 @@ class TraceEvent:
         if not isinstance(self.direction, Direction):
             raise ValueError(f"direction must be a Direction, got {self.direction!r}")
         for name in (self.function, self.task):
-            if not _IDENTIFIER.match(name):
+            if not isinstance(name, str) or not _IDENTIFIER.match(name):
                 raise ValueError(f"bad identifier {name!r}")
 
 

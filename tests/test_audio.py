@@ -370,3 +370,6 @@ def test_generator_config_validation():
     for keywords in ((), ("unk",), ("UNK", "pin")):
         with pytest.raises(ValueError):
             GeneratorConfig(keywords=keywords)
+    # a bare string would be read as one keyword per letter
+    with pytest.raises(ValueError, match="not one string"):
+        GeneratorConfig(keywords="pin")

@@ -90,6 +90,14 @@ def test_train_missing_corpus_names_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_train_refuses_a_learning_rate_that_is_not_finite(tmp_path, corpus_file, capsys):
+    model_path = tmp_path / "model.bin"
+    assert run_train(corpus_file, model_path, "--learning-rate", "nan") == 2
+    # the config's refusal, not a divergence found at the first epoch
+    assert capsys.readouterr().err == "error: learning_rate must be positive and finite\n"
+    assert not model_path.exists()
+
+
 def test_train_rejects_unknown_architecture(tmp_path, corpus_file):
     with pytest.raises(SystemExit):
         main(

@@ -340,6 +340,11 @@ def test_unreachable_endpoint_fails_in_setup():
     assert info.value.stage == "setup"
 
 
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        PipelineConfig(seed=-1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(utterances=0)

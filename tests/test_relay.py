@@ -160,8 +160,10 @@ def test_policy_validation():
         FilterPolicy(threshold=0.0)
     with pytest.raises(ValueError):
         FilterPolicy(threshold=1.0)
-    with pytest.raises(ValueError):
-        FilterPolicy(mask_token="")
+    # a line separator would split one payload over lines of the collector's dump
+    for token in ("", "x\ny", "x\ry", "x\u2028y", "x\x1cy"):
+        with pytest.raises(ValueError):
+            FilterPolicy(mask_token=token)
 
 
 # -- send path ------------------------------------------------------------------

@@ -210,12 +210,21 @@ def test_mismatched_exit_detected_at_build():
 
 
 @pytest.mark.parametrize(
-    "timestamp, direction",
-    [(1.5, Direction.ENTER), (True, Direction.ENTER), (1, "E")],
+    "fields",
+    [
+        (1.5, Direction.ENTER, "a", "t"),
+        (True, Direction.ENTER, "a", "t"),
+        (1, "E", "a", "t"),
+        (1, Direction.ENTER, 5, "t"),
+        (1, Direction.ENTER, "a", None),
+    ],
+    ids=["1.5-Direction.ENTER", "True-Direction.ENTER", "1-E", "function-5", "task-None"],
 )
-def test_event_refuses_a_timestamp_or_direction_of_the_wrong_type(timestamp, direction):
-    with pytest.raises(ValueError, match="timestamp must be an int|direction must be a Direction"):
-        TraceEvent(timestamp, direction, "a", "t")
+def test_event_refuses_a_timestamp_or_direction_of_the_wrong_type(fields):
+    with pytest.raises(
+        ValueError, match="timestamp must be an int|direction must be a Direction|bad identifier"
+    ):
+        TraceEvent(*fields)
 
 
 @settings(max_examples=150)

@@ -146,6 +146,17 @@ def test_config_validation():
         TrainConfig(vocab_size=1)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_config_refuses_a_learning_rate_that_is_not_finite(rate):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=rate)
+
+
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
+
+
 def test_group_by_length_buckets_padded_rows():
     token_lists = [[1, 2], [3], [4, 5, 6], [7, 8]]
     labels = [Label.SENSITIVE, Label.BENIGN, Label.SENSITIVE, Label.BENIGN]
