@@ -244,7 +244,8 @@ def run_pipeline(config: PipelineConfig, transport=None) -> RunResult:
                     sequence = channel.send(decision.flags, payload, ctx)
                     metrics.forwarded += 1
                     sent_payloads.append(payload)
-                log.records.append(RedactionRecord(sequence, verdict.score, verdict.label, decision.action))
+                record = RedactionRecord(sequence, verdict.score, verdict.label, decision.action)
+                log.records.append(record)
                 metrics.latency_us.append((time.perf_counter() - started) * 1e6)
         except Exception as exc:
             raise PipelineError(stage, exc) from exc

@@ -84,7 +84,8 @@ def test_close_removes_only_that_session():
     sessions = [bridge.open_session() for _ in range(3)]
     assert bridge.close_session(sessions[1]).status is PtaStatus.OK
     statuses = [bridge.invoke(PtaCommand(s, PROBE), ctx).status for s in sessions]
-    assert statuses == [PtaStatus.UNKNOWN_COMMAND, PtaStatus.BAD_SESSION, PtaStatus.UNKNOWN_COMMAND]
+    unknown, closed = PtaStatus.UNKNOWN_COMMAND, PtaStatus.BAD_SESSION
+    assert statuses == [unknown, closed, unknown]
 
 
 def test_closed_session_rejected():
