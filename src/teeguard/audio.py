@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import UNKNOWN_WORD, Label, keyword_label, keyword_set
+from .words import UNKNOWN_WORD, Label, check_field_types, keyword_label, keyword_set
 
 SAMPLE_MIN = -32768
 SAMPLE_MAX = 32767
@@ -136,6 +136,7 @@ class GeneratorConfig:
     max_words: int = 10
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.sensitivity <= 1.0:
             raise ValueError("sensitivity must be in [0, 1]")
         if self.min_words < 1 or self.max_words < self.min_words:
@@ -144,6 +145,10 @@ class GeneratorConfig:
             raise ValueError("vocab_size must be positive")
         if isinstance(self.keywords, str):
             raise ValueError("keywords must be a sequence of words, not one string")
+        if not isinstance(self.keywords, (tuple, list)) or not all(
+            isinstance(k, str) for k in self.keywords
+        ):
+            raise ValueError(f"keywords must be a tuple or list of str, got {self.keywords!r}")
         if not self.keywords:
             raise ValueError("keyword list is empty")
         if len(self.keywords) + self.vocab_size > SAMPLE_MAX:

@@ -35,7 +35,8 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
     return host, _parse_port(port)
 
 
-def _parse_keywords(text: str) -> tuple[str, ...]:
+def _parse_names(text: str) -> tuple[str, ...]:
+    """A comma-separated list, each name stripped and empty items dropped."""
     return tuple(w.strip() for w in text.split(",") if w.strip())
 
 
@@ -43,7 +44,7 @@ def _parse_keywords(text: str) -> tuple[str, ...]:
 # INI key, cast of the INI text).  A set flag wins over the file; a field
 # set by neither keeps its dataclass default.
 _GENERATOR_OPTIONS = (
-    ("keywords", "keywords", "generator", "keywords", _parse_keywords),
+    ("keywords", "keywords", "generator", "keywords", _parse_names),
     ("sensitivity", "sensitivity", "generator", "sensitivity", float),
     ("vocab_size", None, "generator", "vocab_size", int),
     ("min_words", None, "generator", "min_words", int),
@@ -171,7 +172,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             yield Path(path).read_text(encoding="utf-8")
         path = None
 
-    tasks = args.tasks.split(",") if args.tasks else None
+    tasks = None if args.tasks is None else _parse_names(args.tasks)
+    if tasks == ():
+        raise ValueError(f"--tasks names no task: {args.tasks!r}")
     try:
         report = analyze(traces(), _inventory(args.inventory), tasks)
     except ValueError as exc:
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", type=FilterAction, choices=list(FilterAction),
                    metavar="{" + ",".join(a.value for a in FilterAction) + "}")
     p.add_argument("--mask-token", dest="mask_token")
-    p.add_argument("--keywords", type=_parse_keywords)
+    p.add_argument("--keywords", type=_parse_names)
     p.add_argument("--sensitivity", type=float)
     p.add_argument("--cost-per-switch", type=int, dest="cost_per_switch")
     p.add_argument("--capacity", type=int)

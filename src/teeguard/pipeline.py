@@ -58,7 +58,7 @@ from .sense import (
     train,
     transcribe,
 )
-from .words import ARCHITECTURE_CHOICES, Label, keyword_set
+from .words import ARCHITECTURE_CHOICES, Label, check_field_types, keyword_set
 
 
 class PipelineError(RuntimeError):
@@ -76,6 +76,7 @@ class ClassifierConfig:
     train_utterances: int = 400
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.architecture not in ARCHITECTURE_CHOICES:
             raise ValueError(f"architecture must be one of {ARCHITECTURE_CHOICES}")
         if self.model_path is not None and self.corpus_path is None:
@@ -97,6 +98,7 @@ class PipelineConfig:
     frames_per_utterance: int = 160
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.utterances < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .tee import World, WorldContext
-from .words import Label, split_words
+from .words import Label, check_field_types, split_words
 
 FRAME_MAGIC = b"TGR1"
 ACK_MAGIC = b"TGA1"
@@ -125,6 +125,7 @@ class FilterPolicy:
     mask_token: str = "[redacted]"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly between 0 and 1")
         # the collector dumps one payload per line

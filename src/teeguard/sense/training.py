@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..words import ARCHITECTURES, Label
+from ..words import ARCHITECTURES, Label, check_field_types
 from .models import (
     Model,
     init_attention,
@@ -50,6 +50,7 @@ class TrainConfig:
     vocab_size: int = 80  # enough to cover the default generator's word list
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0 < self.learning_rate < float("inf"):  # refuses nan too
             raise ValueError("learning_rate must be positive and finite")
         if self.seed < 0:

@@ -1,14 +1,16 @@
 """Call-trace analysis for trimming the trusted driver down to what runs.
 
 Traces are flat text, one event per line: ``<timestamp> <E|X> <function>
-<task>``.  Every reader goes through one loop, `_replay`, which takes each
-line's fields, checks them and replays the event on its task's call stack
-straight away.  It keeps one state per task (last timestamp, open calls,
-functions entered), so a line costs one dict lookup and no per-event object;
-a name is matched against the identifier rule only when it is first seen in
-its task.  `task_graphs` feeds it a trace's text and returns the functions
-each task entered.  `parse_trace` (text to `TraceEvent`s) and
-`build_task_graphs` (`TraceEvent`s to entered sets) are the event-object
+<task>``.  Every reader goes through one loop, `_replay`, which checks each
+line and replays it on its task's call stack straight away, with one state
+per task and no per-event object.  It caches each checked line's tail, the
+text after its first space, one entry per distinct tail, so a later line
+with that tail and a timestamp under 20 digits is neither split nor checked
+again.  Each task's last timestamp is kept as text, and two of equal length
+are compared as strings; int() runs only when the lengths differ.
+`task_graphs` feeds the loop a trace's text and returns the functions each
+task entered.  `parse_trace` (text to `TraceEvent`s) and `build_task_graphs`
+(`TraceEvent`s, formatted as lines, to entered sets) are the event-object
 entry points over the same loop.  A bad trace raises `ParseError` at its
 first bad line, else `UnbalancedTrace` if a task never exits a call, else
 `MismatchedExit` for the first task to appear that exits a function not on
@@ -47,7 +49,8 @@ class MismatchedExit(ValueError):
 
 
 class UnknownTask(KeyError):
-    pass
+    def __str__(self) -> str:  # KeyError's own would print the repr of the name
+        return f"unknown task {self.args[0]!r}"
 
 
 class UnknownFunction(ValueError):
@@ -86,7 +89,7 @@ class TraceEvent:
 
 _DIRECTIONS = {d.value: d for d in Direction}
 _Row = tuple[int, Direction, str, str]  # timestamp, direction, function, task
-# A task's replay state: [last timestamp, calls still open, functions entered].
+# A task's replay state: [last timestamp as text, calls still open, functions entered].
 _TaskState = list
 
 
@@ -96,69 +99,85 @@ def _check_identifier(lineno: int, name: str) -> None:
 
 
 def _replay(
-    lines: Iterable[Sequence[str]], rows: list[_Row] | None = None
+    lines: Iterable[str], rows: list[_Row] | None = None
 ) -> tuple[dict[str, _TaskState], dict[str, str]]:
-    """Check each line of a trace, given as its fields, and replay it on its
-    task's call stack straight away.  Returns every task's state, in order of
-    first appearance, and the first mismatched exit of each task, in the order
-    met; an exit that does not match the top of its stack is not popped.
-    Blank lines and `#` comments are skipped; each task's timestamps must be
-    non-decreasing.  `rows`, if given, collects each checked event.
+    """Check each line of a trace and replay it on its task's call stack
+    straight away.  Returns every task's state, in order of first appearance,
+    and the first mismatched exit of each task, in the order met; an exit
+    that does not match the top of its stack is not popped.  Blank lines and
+    `#` comments are skipped; each task's timestamps must be non-decreasing.
+    `rows`, if given, collects each checked event.
 
-    A task's name is matched against _IDENTIFIER when the task first appears,
-    a function's when its task first enters it or exits it without a match;
-    an exit that pops the stack top names a function its task entered.  A
-    timestamp of fewer than 20 digits is below 2**64, so only longer ones
-    take the zero-strip path."""
+    A line whose first field is its all-digit timestamp caches its tail (the
+    text after the first space) once it passes the checks, one entry per
+    distinct tail.  A later line with that tail and a timestamp of fewer than
+    20 ASCII digits has the same, already checked, fields, so it goes
+    straight to the clock check and the stack; every other line is split and
+    checked.  A task's name is matched against _IDENTIFIER when the task
+    first appears, a function's until its task has entered it.  Timestamps
+    of 20 digits or more take the zero-strip path.  Each task keeps its last
+    timestamp as text: equal-length ASCII digit strings sort like their
+    values, so int() runs only when the lengths differ, and for `rows`."""
     tasks: dict[str, _TaskState] = {}
     mismatches: dict[str, str] = {}
+    tails: dict[str, tuple[Direction, str, str, _TaskState]] = {}
     enter = Direction.ENTER
-    for lineno, fields in enumerate(lines, 1):
-        try:
-            ts_text, dir_text, function, task = fields
-        except ValueError:
-            if fields and not fields[0].startswith("#"):
-                raise ParseError(lineno, f"expected 4 fields, got {len(fields)}") from None
-            continue
-        if not (ts_text.isdigit() and ts_text.isascii()):
-            if ts_text.startswith("#"):
-                continue
-            raise ParseError(lineno, f"bad timestamp {ts_text!r}")
-        if len(ts_text) < _TIMESTAMP_DIGITS:
-            timestamp = int(ts_text)
-        else:  # strip the zeros first: int() refuses over 4,300 digits
-            ts_text = ts_text.lstrip("0") or "0"
-            timestamp = int(ts_text) if len(ts_text) <= _TIMESTAMP_DIGITS else TIMESTAMP_LIMIT
-            if timestamp >= TIMESTAMP_LIMIT:
-                raise ParseError(lineno, "timestamp outside u64 range")
-        direction = _DIRECTIONS.get(dir_text)
-        if direction is None:
-            raise ParseError(lineno, f"unknown direction {dir_text!r}")
-        state = tasks.get(task)
-        if state is None:
-            _check_identifier(lineno, function)
-            _check_identifier(lineno, task)
-            state = tasks[task] = [timestamp, [], set()]
-        elif timestamp < state[0]:
-            _check_identifier(lineno, function)  # a bad name is the line's first fault
-            raise ParseError(lineno, f"timestamp went backwards for task {task!r}")
+    for lineno, line in enumerate(lines, 1):
+        head, _, tail = line.partition(" ")
+        known = tails.get(tail)
+        if (
+            known is not None
+            and len(head) < _TIMESTAMP_DIGITS
+            and head.isdigit()
+            and head.isascii()
+        ):
+            ts_text = head
+            direction, function, task, state = known
         else:
-            state[0] = timestamp
-        _, stack, entered = state
-        if direction is enter:
-            if function not in entered:
+            fields = line.split()
+            try:
+                ts_text, dir_text, function, task = fields
+            except ValueError:
+                if fields and not fields[0].startswith("#"):
+                    raise ParseError(lineno, f"expected 4 fields, got {len(fields)}") from None
+                continue
+            if not (ts_text.isdigit() and ts_text.isascii()):
+                if ts_text.startswith("#"):
+                    continue
+                raise ParseError(lineno, f"bad timestamp {ts_text!r}")
+            if len(ts_text) >= _TIMESTAMP_DIGITS:
+                # strip the zeros first: int() refuses over 4,300 digits
+                ts_text = ts_text.lstrip("0") or "0"
+                if len(ts_text) > _TIMESTAMP_DIGITS or int(ts_text) >= TIMESTAMP_LIMIT:
+                    raise ParseError(lineno, "timestamp outside u64 range")
+            direction = _DIRECTIONS.get(dir_text)
+            if direction is None:
+                raise ParseError(lineno, f"unknown direction {dir_text!r}")
+            state = tasks.get(task)
+            if state is None:
                 _check_identifier(lineno, function)
-                entered.add(function)
+                _check_identifier(lineno, task)
+                state = tasks[task] = [ts_text, [], set()]
+            elif function not in state[2]:
+                _check_identifier(lineno, function)  # a bad name beats a backwards clock
+            if direction is enter:
+                state[2].add(function)
+            if fields[0] == head:  # else the tail holds more than the other three fields
+                tails[tail] = (direction, function, task, state)
+        last = state[0]
+        if ts_text < last if len(ts_text) == len(last) else int(ts_text) < int(last):
+            raise ParseError(lineno, f"timestamp went backwards for task {task!r}")
+        state[0] = ts_text
+        stack = state[1]
+        if direction is enter:
             stack.append(function)
         elif stack and stack[-1] == function:
             stack.pop()
-        else:
-            _check_identifier(lineno, function)
-            if task not in mismatches:
-                top = stack[-1] if stack else "<empty>"
-                mismatches[task] = f"task {task!r} exits {function!r} but the stack top is {top}"
+        elif task not in mismatches:
+            top = stack[-1] if stack else "<empty>"
+            mismatches[task] = f"task {task!r} exits {function!r} but the stack top is {top}"
         if rows is not None:
-            rows.append((timestamp, direction, function, task))
+            rows.append((int(ts_text), direction, function, task))
     return tasks, mismatches
 
 
@@ -176,7 +195,7 @@ def parse_trace(text: str) -> list[TraceEvent]:
     task's timestamps must be non-decreasing and its Enters must all be
     matched by the end of input."""
     rows: list[_Row] = []
-    _check_balance(_replay(map(str.split, text.splitlines()), rows)[0])
+    _check_balance(_replay(text.splitlines(), rows)[0])
     return [TraceEvent(*row) for row in rows]
 
 
@@ -192,19 +211,19 @@ def _entered(tasks: dict[str, _TaskState], mismatches: dict[str, str]) -> dict[s
 def task_graphs(text: str) -> dict[str, frozenset[str]]:
     """The functions each task of one trace entered, read in a single pass;
     errors come in the order the module docstring gives."""
-    tasks, mismatches = _replay(map(str.split, text.splitlines()))
+    tasks, mismatches = _replay(text.splitlines())
     _check_balance(tasks)
     return _entered(tasks, mismatches)
 
 
 def build_task_graphs(events: Iterable[TraceEvent]) -> dict[str, frozenset[str]]:
     """The functions each task entered, replayed from events; the first task
-    with a mismatched exit raises, and open calls are not checked.  The events
-    go through the same line checks as a trace's text, so an event whose
-    task's clock goes backwards raises `ParseError`, numbered by its 1-based
-    position in `events`."""
+    with a mismatched exit raises, and open calls are not checked.  Each event
+    is formatted as a trace line and goes through the same line checks as a
+    trace's text, so an event whose task's clock goes backwards raises
+    `ParseError`, numbered by its 1-based position in `events`."""
     return _entered(*_replay(
-        (str(e.timestamp), e.direction.value, e.function, e.task) for e in events
+        f"{e.timestamp} {e.direction.value} {e.function} {e.task}" for e in events
     ))
 
 

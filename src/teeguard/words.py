@@ -1,5 +1,6 @@
-"""Word segmentation, the keyword ground-truth rule and the classifier
-architecture names shared across the pipeline.
+"""Word segmentation, the keyword ground-truth rule, the classifier
+architecture names and the config field type check shared across the
+pipeline.
 
 Stdlib only: the command-line parser takes the architecture names from here,
 so a process that never classifies loads no model code.
@@ -7,6 +8,7 @@ so a process that never classifies loads no model code.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import re
 from collections.abc import Iterable
@@ -40,3 +42,20 @@ def keyword_label(text: str, keywords: Iterable[str]) -> Label:
     if keyword_set(keywords).isdisjoint(split_words(text)):
         return Label.BENIGN
     return Label.SENSITIVE
+
+
+# A field annotated with the key takes an instance of one of the value's types;
+# the config modules postpone annotations, so `Field.type` is the text.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_field_types(config: object) -> None:
+    """Refuse, with ValueError, a config dataclass field annotated `int`,
+    `float` or `str` that holds another type.  A bool is no number here, and
+    a float field takes an int too.  Call it before any range check, which
+    would fail on a wrong type with a less telling error."""
+    for f in dataclasses.fields(config):
+        allowed = _FIELD_TYPES.get(f.type)
+        value = getattr(config, f.name)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")

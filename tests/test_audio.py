@@ -373,3 +373,12 @@ def test_generator_config_validation():
     # a bare string would be read as one keyword per letter
     with pytest.raises(ValueError, match="not one string"):
         GeneratorConfig(keywords="pin")
+
+
+@pytest.mark.parametrize(("name", "value"), [
+    ("min_words", 4.5), ("vocab_size", True), ("max_words", None), ("sensitivity", "0.3"),
+    ("keywords", 5), ("keywords", ("pin", 5)), ("keywords", {"pin"}),
+])
+def test_generator_config_refuses_wrong_types(name, value):
+    with pytest.raises(ValueError, match="must be of type|must be a tuple or list of str"):
+        GeneratorConfig(**{name: value})

@@ -248,7 +248,26 @@ def test_trace_unknown_task_fails(capsys):
         ]
     )
     assert code == 2
-    assert "ghost" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown task 'ghost'\n"
+
+
+@pytest.mark.parametrize("tasks", ["record, upload", "record,,upload", " upload ,record,"])
+def test_trace_tasks_are_stripped_and_empty_items_dropped(tasks, capsys):
+    # the --keywords rule: " upload" used to fail as an unknown task
+    argv = ["trace", str(DATA / "session.trace"), "--inventory", str(DATA / "inventory.txt")]
+    assert main([*argv, "--tasks", "record,upload"]) == 0
+    expected = capsys.readouterr().out
+    assert main([*argv, "--tasks", tasks]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("tasks", [",", "", " , "])
+def test_trace_refuses_a_task_list_that_names_no_task(tasks, capsys):
+    argv = ["trace", str(DATA / "session.trace"), "--inventory", str(DATA / "inventory.txt")]
+    assert main([*argv, "--tasks", tasks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tasks names no task: {tasks!r}\n"
 
 
 # -- pipeline ----------------------------------------------------------------

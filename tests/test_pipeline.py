@@ -367,6 +367,22 @@ def test_classifier_config_validation():
         ClassifierConfig(train_utterances=1)
 
 
+@pytest.mark.parametrize(("name", "value"), [
+    ("seed", 1.5), ("utterances", 2.5), ("capacity", True), ("cost_per_switch", "1"),
+])
+def test_config_refuses_wrong_types(name, value):
+    with pytest.raises(ValueError, match="must be of type"):
+        PipelineConfig(**{name: value})
+
+
+@pytest.mark.parametrize(("name", "value"), [
+    ("train_utterances", 3.5), ("train_utterances", False), ("architecture", 5),
+])
+def test_classifier_config_refuses_wrong_types(name, value):
+    with pytest.raises(ValueError, match="must be of type"):
+        ClassifierConfig(**{name: value})
+
+
 def test_metrics_dict_shape():
     metrics = RunMetrics(
         processed=3, sensitive=1, redacted=1, forwarded=2,

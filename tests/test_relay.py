@@ -166,6 +166,15 @@ def test_policy_validation():
             FilterPolicy(mask_token=token)
 
 
+@pytest.mark.parametrize(("name", "value"), [
+    ("mask_token", 5), ("mask_token", b"x"), ("threshold", "0.5"), ("threshold", True),
+])
+def test_policy_refuses_wrong_types(name, value):
+    # mask_token=5 used to raise AttributeError, threshold="0.5" TypeError
+    with pytest.raises(ValueError, match="must be of type"):
+        FilterPolicy(**{name: value})
+
+
 # -- send path ------------------------------------------------------------------
 
 

@@ -245,6 +245,8 @@ def cli_sessions(tmp: Path, corpus: Path, endpoint: str, closed: str, frames, mo
     assert run("trace", DATA / "session.trace", "--inventory", DATA / "inventory.txt") == 0
     assert run("trace", DATA / "session.trace", "--inventory", DATA / "inventory.txt",
                "--tasks", "record", "--report-out", tmp / "report.txt") == 0
+    assert run("trace", DATA / "session.trace", "--inventory", DATA / "inventory.txt",
+               "--tasks", "record, ghost") == 2
     bad = tmp / "bad.trace"
     bad.write_text("1 E open t\n2 X open\n")
     assert run("trace", bad, "--inventory", DATA / "inventory.txt") == 2

@@ -3,6 +3,7 @@ report generation."""
 
 import hashlib
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -331,6 +332,196 @@ def test_mutated_corpus_outcomes_are_pinned():
     assert digest.hexdigest() == "7a190a9b16fcd42b4a0f6896304a2a9959e459ac47a7e35ec1d2099582a27f08"
 
 
+# -- the cached reader against a split-every-line reference ---------------------
+
+
+_REFERENCE_DIRECTIONS = {d.value: d for d in Direction}
+_REFERENCE_IDENTIFIER = re.compile(r"[A-Za-z0-9_]+\Z")
+
+
+def _reference_identifier(lineno, name):
+    if not _REFERENCE_IDENTIFIER.match(name):
+        raise ParseError(lineno, f"bad identifier {name!r}")
+
+
+def reference_replay(lines, rows=None):
+    """The one-pass reader as it stood before the tail cache, changed only in
+    its names and inlined constants: every line is split, each task's last
+    timestamp is an int, and each line runs every check that applies to it."""
+    tasks = {}
+    mismatches = {}
+    for lineno, fields in enumerate(lines, 1):
+        try:
+            ts_text, dir_text, function, task = fields
+        except ValueError:
+            if fields and not fields[0].startswith("#"):
+                raise ParseError(lineno, f"expected 4 fields, got {len(fields)}") from None
+            continue
+        if not (ts_text.isdigit() and ts_text.isascii()):
+            if ts_text.startswith("#"):
+                continue
+            raise ParseError(lineno, f"bad timestamp {ts_text!r}")
+        if len(ts_text) < 20:
+            timestamp = int(ts_text)
+        else:
+            ts_text = ts_text.lstrip("0") or "0"
+            timestamp = int(ts_text) if len(ts_text) <= 20 else 1 << 64
+            if timestamp >= 1 << 64:
+                raise ParseError(lineno, "timestamp outside u64 range")
+        direction = _REFERENCE_DIRECTIONS.get(dir_text)
+        if direction is None:
+            raise ParseError(lineno, f"unknown direction {dir_text!r}")
+        state = tasks.get(task)
+        if state is None:
+            _reference_identifier(lineno, function)
+            _reference_identifier(lineno, task)
+            state = tasks[task] = [timestamp, [], set()]
+        elif timestamp < state[0]:
+            _reference_identifier(lineno, function)
+            raise ParseError(lineno, f"timestamp went backwards for task {task!r}")
+        else:
+            state[0] = timestamp
+        _, stack, entered = state
+        if direction is Direction.ENTER:
+            if function not in entered:
+                _reference_identifier(lineno, function)
+                entered.add(function)
+            stack.append(function)
+        elif stack and stack[-1] == function:
+            stack.pop()
+        else:
+            _reference_identifier(lineno, function)
+            if task not in mismatches:
+                top = stack[-1] if stack else "<empty>"
+                mismatches[task] = f"task {task!r} exits {function!r} but the stack top is {top}"
+        if rows is not None:
+            rows.append((timestamp, direction, function, task))
+    return tasks, mismatches
+
+
+def _reference_balance(tasks):
+    open_calls = sorted((task, state[1]) for task, state in tasks.items() if state[1])
+    if open_calls:
+        raise UnbalancedTrace("; ".join(
+            f"task {task!r} never exited {', '.join(sorted(set(stack)))}"
+            for task, stack in open_calls
+        ))
+
+
+def _reference_entered(tasks, mismatches):
+    for task in tasks:
+        if task in mismatches:
+            raise MismatchedExit(mismatches[task])
+    return [(task, frozenset(state[2])) for task, state in tasks.items()]
+
+
+def reference_task_graphs(text):
+    tasks, mismatches = reference_replay(map(str.split, text.splitlines()))
+    _reference_balance(tasks)
+    return _reference_entered(tasks, mismatches)
+
+
+def reference_parse_trace(text):
+    rows = []
+    _reference_balance(reference_replay(map(str.split, text.splitlines()), rows)[0])
+    return [TraceEvent(*row) for row in rows]
+
+
+def reference_build_task_graphs(events):
+    return _reference_entered(*reference_replay(
+        (str(e.timestamp), e.direction.value, e.function, e.task) for e in events
+    ))
+
+
+def repeating_trace(rng):
+    """A balanced trace over two functions and up to three tasks, so most
+    lines repeat an earlier line's tail (the text after its first space).
+    Clocks cross a power of ten, so timestamps change length.  Some lines
+    whose tail was seen before are mutated: an odd or zero-padded timestamp,
+    a clock that goes backwards to a timestamp of the same or another
+    length, a `#` copy in place of the line or before it, other spacing, or
+    no direction."""
+    tasks = [f"t{i}" for i in range(rng.randint(1, 3))]
+    clocks = {task: rng.choice((0, 7, 95, 996, 99_990)) for task in tasks}
+    stacks = {task: [] for task in tasks}
+    rows = []
+    for _ in range(rng.randint(1, 40)):
+        task = rng.choice(tasks)
+        clocks[task] += rng.randint(0, 4)
+        if stacks[task] and rng.random() < 0.5:
+            rows.append((clocks[task], "X", stacks[task].pop(), task))
+        else:
+            stacks[task].append(rng.choice("ab"))
+            rows.append((clocks[task], "E", stacks[task][-1], task))
+    for task in tasks:
+        while stacks[task]:
+            clocks[task] += 1
+            rows.append((clocks[task], "X", stacks[task].pop(), task))
+    rate = rng.choice((0.0, 0.05, 0.2))
+    seen, last, lines = set(), {}, []
+    for clock, direction, function, task in rows:
+        stamp, sep, tail = str(clock), " ", f"{direction} {function} {task}"
+        if tail in seen and rng.random() < rate:
+            previous = last[task]
+            kind = rng.randrange(8)
+            if kind == 0:
+                stamp = rng.choice(ODD_STAMPS)
+            elif kind == 1:
+                stamp = "0" * rng.randint(1, 25) + stamp
+            elif kind == 2:  # backwards, or level at 0, with the previous stamp's length
+                stamp = str(max(previous - rng.randint(1, 3), 0)).zfill(len(str(previous)))
+            elif kind == 3:  # backwards to a shorter value, perhaps padded past the previous length
+                below = rng.randrange(10 ** (len(str(previous)) - 1)) if previous >= 10 else 0
+                stamp = "0" * rng.randint(0, 3) + str(below)
+            elif kind == 4:
+                copy = rng.choice(("#", "# ")) + f"{stamp} {tail}"
+                if rng.random() < 0.5:
+                    lines.append(copy)
+                else:
+                    stamp, tail = copy.split(" ", 1)
+            elif kind == 5:
+                sep = rng.choice(("\t", "  ", "\t ", "\x1c"))
+            elif kind == 6:
+                tail = rng.choice((tail + " ", tail + "\t", tail.replace(" ", "\t", 1),
+                                   tail.replace(" ", "  ")))
+            else:  # the tail after a tab holds no direction: a line with only that tail is bad
+                lines.append(stamp + "\t" + tail)
+                tail = f"{function} {task}"
+        seen.add(f"{direction} {function} {task}")
+        last[task] = clock
+        lines.append(stamp + sep + tail)
+    return "\n".join(lines) + "\n"
+
+
+def trace_events(text):
+    """The events of each line that makes a valid `TraceEvent`, in order: the
+    clocks may go backwards, and exits may match no enter."""
+    events = []
+    for fields in map(str.split, text.splitlines()):
+        if len(fields) == 4 and fields[0].isascii() and fields[0].isdigit():
+            try:
+                events.append(TraceEvent(int(fields[0]), Direction(fields[1]), *fields[2:]))
+            except ValueError:
+                pass
+    return events
+
+
+def test_cached_reader_matches_the_split_every_line_reference():
+    kinds = Counter()
+    rng = random.Random(21)
+    for _ in range(3000):
+        text = repeating_trace(rng)
+        graphs = outcome(lambda trace: list(task_graphs(trace).items()), text)
+        assert graphs == outcome(reference_task_graphs, text), text
+        assert outcome(parse_trace, text) == outcome(reference_parse_trace, text), text
+        events = trace_events(text)
+        assert outcome(lambda e: list(build_task_graphs(e).items()), events) == outcome(
+            reference_build_task_graphs, events
+        ), text
+        kinds[graphs[0] if isinstance(graphs, tuple) else "graphs"] += 1
+    assert set(kinds) == {"graphs", "ParseError", "UnbalancedTrace", "MismatchedExit"}
+
+
 def test_parse_error_beats_an_earlier_mismatched_exit():
     text = "1 E a t\n2 X b t\n3 X a t\n4 E c t\n5 E c% t\n"
     for read in (task_graphs, lambda trace: analyze([trace], ["a", "c"])):
@@ -378,8 +569,9 @@ def test_minimal_set_unions_selected_tasks():
     assert minimal_set(graphs, ["rec"]) == {"a", "b"}
     assert minimal_set(graphs, ["rec", "net"]) == {"a", "b", "c"}
     assert minimal_set(graphs, []) == set()
-    with pytest.raises(UnknownTask):
+    with pytest.raises(UnknownTask) as info:
         minimal_set(graphs, ["rec", "ghost"])
+    assert str(info.value) == "unknown task 'ghost'"
 
 
 @settings(max_examples=150)

@@ -157,6 +157,16 @@ def test_config_refuses_a_negative_seed():
         TrainConfig(seed=-1)
 
 
+@pytest.mark.parametrize(("name", "value"), [
+    ("epochs", 2.5), ("dim", True), ("seed", 0.0),
+    ("learning_rate", "0.5"), ("learning_rate", True),
+])
+def test_config_refuses_wrong_types(name, value):
+    with pytest.raises(ValueError, match="must be of type"):
+        TrainConfig(**{name: value})
+    assert TrainConfig(learning_rate=1).learning_rate == 1  # an int is a float here
+
+
 def test_group_by_length_buckets_padded_rows():
     token_lists = [[1, 2], [3], [4, 5, 6], [7, 8]]
     labels = [Label.SENSITIVE, Label.BENIGN, Label.SENSITIVE, Label.BENIGN]
