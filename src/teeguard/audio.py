@@ -136,6 +136,8 @@ class GeneratorConfig:
     max_words: int = 10
 
     def __post_init__(self) -> None:
+        if isinstance(self.keywords, str):
+            raise ValueError("keywords must be a sequence of words, not one string")
         check_field_types(self)
         if not 0.0 <= self.sensitivity <= 1.0:
             raise ValueError("sensitivity must be in [0, 1]")
@@ -143,12 +145,6 @@ class GeneratorConfig:
             raise ValueError("word count range is invalid")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be positive")
-        if isinstance(self.keywords, str):
-            raise ValueError("keywords must be a sequence of words, not one string")
-        if not isinstance(self.keywords, (tuple, list)) or not all(
-            isinstance(k, str) for k in self.keywords
-        ):
-            raise ValueError(f"keywords must be a tuple or list of str, got {self.keywords!r}")
         if not self.keywords:
             raise ValueError("keyword list is empty")
         if len(self.keywords) + self.vocab_size > SAMPLE_MAX:

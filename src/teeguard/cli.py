@@ -40,9 +40,10 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(w.strip() for w in text.split(",") if w.strip())
 
 
-# One row per config field: (field, flag attribute or None, INI section,
-# INI key, cast of the INI text).  A set flag wins over the file; a field
-# set by neither keeps its dataclass default.
+# One row per config field: (field, dest of its `pipeline` flag or None, INI
+# section, INI key, cast of the text, then optionally more add_argument
+# keywords).  The cast is the flag's argparse type too.  A set flag wins over
+# the file; a field set by neither keeps its dataclass default.
 _GENERATOR_OPTIONS = (
     ("keywords", "keywords", "generator", "keywords", _parse_names),
     ("sensitivity", "sensitivity", "generator", "sensitivity", float),
@@ -59,32 +60,42 @@ _TRAIN_OPTIONS = (
     ("width", None, "classifier", "width", int),
     ("vocab_size", None, "classifier", "vocab_size", int),
 )
+# `train` has a flag for every TrainConfig field, named after the field.
+_TRAIN_FLAGS = tuple((name, name, *rest) for name, _, *rest in _TRAIN_OPTIONS)
 _CLASSIFIER_OPTIONS = (
-    ("architecture", "architecture", "classifier", "architecture", str),
-    ("model_path", "model", "classifier", "model", str),
-    ("corpus_path", "corpus", "classifier", "corpus", str),
+    ("architecture", "architecture", "classifier", "architecture", str,
+     {"choices": ARCHITECTURE_CHOICES}),
+    ("model_path", "model", "classifier", "model", str,
+     {"help": "serialized model file (needs --corpus)"}),
+    ("corpus_path", "corpus", "classifier", "corpus", str,
+     {"help": "training corpus for the model's vocabulary"}),
     ("train_utterances", "train_utterances", "classifier", "train_utterances", int),
 )
 _POLICY_OPTIONS = (
     ("threshold", "threshold", "policy", "threshold", float),
-    ("action", "action", "policy", "action", FilterAction),
+    ("action", "action", "policy", "action", FilterAction,
+     {"metavar": "{" + ",".join(a.value for a in FilterAction) + "}"}),
     ("mask_token", "mask_token", "policy", "mask_token", str),
 )
 _PIPELINE_OPTIONS = (
     ("seed", "seed", "pipeline", "seed", int),
     ("utterances", "utterances", "pipeline", "utterances", int),
-    ("endpoint", "endpoint", "pipeline", "endpoint", _parse_endpoint),
+    ("endpoint", "endpoint", "pipeline", "endpoint", _parse_endpoint,
+     {"help": "collector host:port"}),
     ("cost_per_switch", "cost_per_switch", "pipeline", "cost_per_switch", int),
     ("capacity", "capacity", "pipeline", "capacity", int),
-    ("frames_per_utterance", "frames", "pipeline", "frames_per_utterance", int),
+    ("frames_per_utterance", "frames", "pipeline", "frames_per_utterance", int,
+     {"help": "frames per utterance"}),
 )
+_CONFIG_OPTIONS = (*_PIPELINE_OPTIONS, *_CLASSIFIER_OPTIONS, *_TRAIN_OPTIONS, *_POLICY_OPTIONS,
+                   *_GENERATOR_OPTIONS)
 
 
 def _options(rows, args: argparse.Namespace, cp) -> dict:
     """Keyword arguments for one config dataclass from flags and the parsed
     config file `cp` (None without a file)."""
     values = {}
-    for name, flag, section, key, cast in rows:
+    for name, flag, section, key, cast, *_ in rows:
         value = getattr(args, flag) if flag else None
         if value is None and cp is not None and cp.has_option(section, key):
             value = cast(cp.get(section, key))
@@ -134,14 +145,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .sense import TrainConfig, evaluate, load_corpus, save_model, train
 
     samples = load_corpus(args.corpus)
-    # Every TrainConfig field has a flag of its name; an unset one keeps its default.
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
-    config = TrainConfig(**{name: value for name, value in flags.items() if value is not None})
+    config = TrainConfig(**_options(_TRAIN_FLAGS, args, None))
     result = train(args.architecture, samples, config)
     save_model(args.model_out, result.model)
     if args.history_out:
@@ -224,25 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the end-to-end pipeline")
     p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--utterances", type=int)
-    p.add_argument("--endpoint", type=_parse_endpoint, help="collector host:port")
-    p.add_argument("--architecture", choices=ARCHITECTURE_CHOICES)
-    p.add_argument("--model", help="serialized model file (needs --corpus)")
-    p.add_argument("--corpus", help="training corpus for the model's vocabulary")
-    p.add_argument("--train-utterances", type=int, dest="train_utterances")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--train-seed", type=int, dest="train_seed")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--action", type=FilterAction, choices=list(FilterAction),
-                   metavar="{" + ",".join(a.value for a in FilterAction) + "}")
-    p.add_argument("--mask-token", dest="mask_token")
-    p.add_argument("--keywords", type=_parse_names)
-    p.add_argument("--sensitivity", type=float)
-    p.add_argument("--cost-per-switch", type=int, dest="cost_per_switch")
-    p.add_argument("--capacity", type=int)
-    p.add_argument("--frames", type=int, help="frames per utterance")
+    for _, flag, _, _, cast, *extra in _CONFIG_OPTIONS:
+        if flag:
+            p.add_argument("--" + flag.replace("_", "-"), type=cast, **dict(*extra))
     p.add_argument("--metrics-out", dest="metrics_out", help="write metrics JSON here")
     p.add_argument("--log-out", dest="log_out", help="write the redaction log here")
     p.set_defaults(func=cmd_pipeline)
@@ -252,13 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--architecture", required=True, choices=ARCHITECTURES)
     p.add_argument("--model-out", dest="model_out", required=True)
     p.add_argument("--history-out", dest="history_out", help="write per-epoch loss here")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--filters", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
+    for _, flag, _, _, cast in _TRAIN_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=cast)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("trace", help="call-trace analysis and exclusion report")

@@ -1,6 +1,6 @@
 """Word segmentation, the keyword ground-truth rule, the classifier
-architecture names and the config field type check shared across the
-pipeline.
+architecture names and the check of each config field against its
+annotation, shared across the pipeline.
 
 Stdlib only: the command-line parser takes the architecture names from here,
 so a process that never classifies loads no model code.
@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import re
-from collections.abc import Iterable
+import types
+import typing
+from collections.abc import Callable, Iterable
 
 _WORD_RUN = re.compile(r"[a-z0-9]+")
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per config class
 
 UNKNOWN_WORD = "unk"  # reserved for the unknown token: no vocabulary, keyword or filler word
 
@@ -44,18 +48,31 @@ def keyword_label(text: str, keywords: Iterable[str]) -> Label:
     return Label.SENSITIVE
 
 
-# A field annotated with the key takes an instance of one of the value's types;
-# the config modules postpone annotations, so `Field.type` is the text.
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+@functools.cache
+def _type_test(hint: object) -> Callable[[object], bool]:
+    """Whether a value fits the resolved annotation `hint` (a list fits a tuple,
+    an int a float, a bool no number); TypeError for one it cannot check."""
+    tests = [_type_test(arg) for arg in typing.get_args(hint) if arg is not Ellipsis]
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return lambda value: any(test(value) for test in tests)
+    if typing.get_origin(hint) is tuple and Ellipsis in typing.get_args(hint):
+        return lambda value: isinstance(value, (tuple, list)) and all(map(tests[0], value))
+    if typing.get_origin(hint) is tuple:
+        return lambda value: (isinstance(value, (tuple, list)) and len(value) == len(tests)
+                              and all(test(item) for test, item in zip(tests, value)))
+    if hint in (int, float, str, type(None)):
+        allowed = (int, float) if hint is float else hint
+        return lambda value: isinstance(value, allowed) and not isinstance(value, bool)
+    if isinstance(hint, type) and (issubclass(hint, enum.Enum) or dataclasses.is_dataclass(hint)):
+        return lambda value: isinstance(value, hint)
+    raise TypeError(f"no type check for the annotation {hint!r}")
 
 
 def check_field_types(config: object) -> None:
-    """Refuse, with ValueError, a config dataclass field annotated `int`,
-    `float` or `str` that holds another type.  A bool is no number here, and
-    a float field takes an int too.  Call it before any range check, which
-    would fail on a wrong type with a less telling error."""
+    """Refuse, with ValueError, a config dataclass field whose value does not
+    fit its annotation.  Run it before any range check on the fields."""
+    hints = _type_hints(type(config))
     for f in dataclasses.fields(config):
-        allowed = _FIELD_TYPES.get(f.type)
         value = getattr(config, f.name)
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+        if not _type_test(hints[f.name])(value):
             raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
