@@ -1,7 +1,10 @@
 """Command-line front end: pipeline runs, training, trace analysis, serving.
 
 Options come from an INI-style config file, command-line flags, or both;
-flags win.  Metrics are emitted as a single JSON document when asked.
+flags win.  Each config option is declared once, as a row of an option
+table: the rows build the flags, read the file, and refuse a file section or
+key that no row names.  Metrics are emitted as a single JSON document when
+asked.
 
 Each subcommand's handler imports the modules only it runs, the standard
 library's included, so `serve` and `trace` start without numpy or any
@@ -52,8 +55,8 @@ _GENERATOR_OPTIONS = (
     ("max_words", None, "generator", "max_words", int),
 )
 _TRAIN_OPTIONS = (
-    ("learning_rate", "learning_rate", "classifier", "learning_rate", float),
     ("epochs", "epochs", "classifier", "epochs", int),
+    ("learning_rate", "learning_rate", "classifier", "learning_rate", float),
     ("seed", "train_seed", "classifier", "seed", int),
     ("dim", None, "classifier", "dim", int),
     ("filters", None, "classifier", "filters", int),
@@ -87,8 +90,9 @@ _PIPELINE_OPTIONS = (
     ("frames_per_utterance", "frames", "pipeline", "frames_per_utterance", int,
      {"help": "frames per utterance"}),
 )
-_CONFIG_OPTIONS = (*_PIPELINE_OPTIONS, *_CLASSIFIER_OPTIONS, *_TRAIN_OPTIONS, *_POLICY_OPTIONS,
-                   *_GENERATOR_OPTIONS)
+# In the order `pipeline --help` lists the flags.
+_CONFIG_OPTIONS = (*_PIPELINE_OPTIONS[:3], *_CLASSIFIER_OPTIONS, *_TRAIN_OPTIONS, *_POLICY_OPTIONS,
+                   *_GENERATOR_OPTIONS, *_PIPELINE_OPTIONS[3:])
 
 
 def _options(rows, args: argparse.Namespace, cp) -> dict:
@@ -104,18 +108,32 @@ def _options(rows, args: argparse.Namespace, cp) -> dict:
     return values
 
 
-def _pipeline_config(args: argparse.Namespace):
+def _read_config(path: str):
+    """The parsed INI file; a section or key that no row names is refused."""
     import configparser
 
+    # No section lends its keys to the others, so [DEFAULT] is one more
+    # unknown section.
+    cp = configparser.ConfigParser(default_section="")
+    with open(path, encoding="utf-8") as fh:
+        cp.read_file(fh)
+    keys = {(section, key) for _, _, section, key, *_ in _CONFIG_OPTIONS}
+    sections = {section for section, _ in keys}
+    for section in cp.sections():
+        if section not in sections:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in cp.options(section):
+            if (section, key) not in keys:
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+    return cp
+
+
+def _pipeline_config(args: argparse.Namespace):
     from .audio import GeneratorConfig
     from .pipeline import ClassifierConfig, PipelineConfig
     from .sense import TrainConfig
 
-    cp = None
-    if args.config:
-        cp = configparser.ConfigParser()
-        with open(args.config, encoding="utf-8") as fh:
-            cp.read_file(fh)
+    cp = _read_config(args.config) if args.config else None
     classifier = ClassifierConfig(
         train=TrainConfig(**_options(_TRAIN_OPTIONS, args, cp)),
         **_options(_CLASSIFIER_OPTIONS, args, cp),

@@ -47,6 +47,9 @@ from .relay import (
     apply_policy,
 )
 from .sense import (
+    AttentionEncoder,
+    CnnModel,
+    HybridModel,
     SymbolTable,
     TrainConfig,
     Transcript,
@@ -59,6 +62,9 @@ from .sense import (
     transcribe,
 )
 from .words import ARCHITECTURE_CHOICES, Label, check_field_types, keyword_set
+
+
+_MODEL_TYPES = {"cnn": CnnModel, "attention": AttentionEncoder, "hybrid": HybridModel}
 
 
 class PipelineError(RuntimeError):
@@ -81,6 +87,8 @@ class ClassifierConfig:
             raise ValueError(f"architecture must be one of {ARCHITECTURE_CHOICES}")
         if self.model_path is not None and self.corpus_path is None:
             raise ValueError("a model file needs its training corpus for the vocabulary")
+        if self.model_path is not None and self.architecture == "oracle":
+            raise ValueError("a model file needs the architecture it was trained as, not oracle")
         if self.train_utterances < 2:
             raise ValueError("train_utterances must be at least 2")
 
@@ -160,6 +168,9 @@ def build_classifier(
 
     if cc.model_path is not None:
         model = load_model(cc.model_path)
+        if type(model) is not _MODEL_TYPES[cc.architecture]:
+            kind = type(model).__name__
+            raise ValueError(f"{cc.architecture!r} cannot run the {kind} in {cc.model_path}")
         corpus = load_corpus(cc.corpus_path)
         # sized as the model was trained, so this is the training vocabulary
         vocab = Vocab.from_texts([text for text, _ in corpus], model.vocab_size)

@@ -1,6 +1,7 @@
 """Word segmentation, the keyword ground-truth rule, the classifier
 architecture names and the check of each config field against its
-annotation, shared across the pipeline.
+annotation, shared across the pipeline.  A field's type is read from its
+annotation alone; range checks stay in each `__post_init__`.
 
 Stdlib only: the command-line parser takes the architecture names from here,
 so a process that never classifies loads no model code.

@@ -1,5 +1,6 @@
 """Command-line entry points, exercised through main() and one real process."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,16 +9,18 @@ import socket
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
 
 import teeguard
 from teeguard.audio import GeneratorConfig, make_labeled_corpus
-from teeguard.cli import _parse_endpoint, build_parser, main
+from teeguard import cli
+from teeguard.cli import _parse_endpoint, _parse_names, _pipeline_config, build_parser, main
 from teeguard.cloud import MockCloud
-from teeguard.pipeline import ARCHITECTURE_CHOICES
-from teeguard.relay import RelayPacket, encode_frame
+from teeguard.pipeline import ARCHITECTURE_CHOICES, ClassifierConfig, PipelineConfig
+from teeguard.relay import FilterAction, FilterPolicy, RelayPacket, encode_frame
 from teeguard.sense import TrainConfig, load_model, save_corpus
 from teeguard.tcbtrace import analyze, render_report
 
@@ -326,6 +329,21 @@ def test_pipeline_config_file_with_flag_override(tmp_path, capsys):
     assert received == 5
 
 
+@pytest.mark.parametrize(("text", "named"), [
+    ("[pipline]\nutterances = 3\n", "unknown section [pipline]"),
+    ("[generator]\nsensitivty = 1.0\n", "unknown key 'sensitivty' in section [generator]"),
+    ("[pipeline]\nframes = 16\n", "unknown key 'frames' in section [pipeline]"),  # a flag's dest
+    ("[classifier]\nmodel_path = m.bin\n", "unknown key 'model_path' in section [classifier]"),
+    ("[DEFAULT]\nseed = 3\n[pipeline]\n", "unknown section [DEFAULT]"),
+], ids=["section", "key", "flag-dest", "field-name", "default-section"])
+def test_config_file_refuses_what_no_option_row_names(tmp_path, capsys, text, named):
+    # such a file used to run with the misspelt value silently left at its default
+    config = tmp_path / "run.ini"
+    config.write_text(text, encoding="utf-8")
+    assert main(["pipeline", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {named}\n"
+
+
 def test_pipeline_unreachable_endpoint_errors(capsys):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
@@ -374,6 +392,93 @@ def test_port_range_ends_accepted():
     assert _parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
     assert _parse_endpoint("collector:65535") == ("collector", 65535)
     assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+
+
+# -- option tables -----------------------------------------------------------
+
+# The cast of the INI text (and the flag's argparse type) that each resolved
+# field annotation calls for.
+CASTS = {
+    int: int, float: float, str: str, str | None: str, FilterAction: FilterAction,
+    tuple[str, ...]: _parse_names, tuple[str, int]: _parse_endpoint,
+}
+
+
+@pytest.mark.parametrize(("config", "rows"), [
+    (PipelineConfig, cli._PIPELINE_OPTIONS),
+    (ClassifierConfig, cli._CLASSIFIER_OPTIONS),
+    (TrainConfig, cli._TRAIN_OPTIONS),
+    (GeneratorConfig, cli._GENERATOR_OPTIONS),
+    (FilterPolicy, cli._POLICY_OPTIONS),
+], ids=lambda value: getattr(value, "__name__", ""))
+def test_each_config_field_has_one_row_with_the_cast_of_its_annotation(config, rows):
+    hints = typing.get_type_hints(config)
+    nested = {name for name, hint in hints.items() if dataclasses.is_dataclass(hint)}
+    assert sorted(row[0] for row in rows) == sorted(hints.keys() - nested)
+    for name, _, _, _, cast, *_ in rows:
+        assert cast is CASTS[hints[name]], name
+
+
+# (option strings, dest, help, metavar) of every flag, in `--help` order, as
+# they were before the flags were built from the option tables.
+PINNED_FLAGS = {
+    "pipeline": [
+        (["-h", "--help"], "help", "show this help message and exit", None),
+        (["--config"], "config", "INI config file; flags override it", None),
+        (["--seed"], "seed", None, None),
+        (["--utterances"], "utterances", None, None),
+        (["--endpoint"], "endpoint", "collector host:port", None),
+        (["--architecture"], "architecture", None, None),
+        (["--model"], "model", "serialized model file (needs --corpus)", None),
+        (["--corpus"], "corpus", "training corpus for the model's vocabulary", None),
+        (["--train-utterances"], "train_utterances", None, None),
+        (["--epochs"], "epochs", None, None),
+        (["--learning-rate"], "learning_rate", None, None),
+        (["--train-seed"], "train_seed", None, None),
+        (["--threshold"], "threshold", None, None),
+        (["--action"], "action", None, "{drop,mask}"),
+        (["--mask-token"], "mask_token", None, None),
+        (["--keywords"], "keywords", None, None),
+        (["--sensitivity"], "sensitivity", None, None),
+        (["--cost-per-switch"], "cost_per_switch", None, None),
+        (["--capacity"], "capacity", None, None),
+        (["--frames"], "frames", "frames per utterance", None),
+        (["--metrics-out"], "metrics_out", "write metrics JSON here", None),
+        (["--log-out"], "log_out", "write the redaction log here", None),
+    ],
+    "train": [
+        (["-h", "--help"], "help", "show this help message and exit", None),
+        (["--corpus"], "corpus", "label<TAB>text lines", None),
+        (["--architecture"], "architecture", None, None),
+        (["--model-out"], "model_out", None, None),
+        (["--history-out"], "history_out", "write per-epoch loss here", None),
+        (["--epochs"], "epochs", None, None),
+        (["--learning-rate"], "learning_rate", None, None),
+        (["--seed"], "seed", None, None),
+        (["--dim"], "dim", None, None),
+        (["--filters"], "filters", None, None),
+        (["--width"], "width", None, None),
+        (["--vocab-size"], "vocab_size", None, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
+def test_no_flag_appears_or_disappears(command):
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    flags = [(a.option_strings, a.dest, a.help, a.metavar) for a in parser._actions]
+    assert flags == PINNED_FLAGS[command]
+
+
+def test_readme_config_example_reads(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(readme.split("```ini\n")[1].split("```")[0], encoding="utf-8")
+    built = _pipeline_config(build_parser().parse_args(["pipeline", "--config", str(config)]))
+    assert (built.seed, built.utterances, built.endpoint) == (7, 500, ("127.0.0.1", 9747))
+    assert built.generator.keywords == ("password", "pin", "secret")
+    assert (built.classifier.architecture, built.classifier.train.epochs) == ("cnn", 200)
+    assert built.policy == FilterPolicy(threshold=0.5, action=FilterAction.DROP)
 
 
 # -- serve -------------------------------------------------------------------

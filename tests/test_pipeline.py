@@ -3,6 +3,7 @@
 import hashlib
 import threading
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 
@@ -30,7 +31,7 @@ from teeguard.relay import (
     encode_ack,
 )
 from teeguard.sense import TrainConfig, save_corpus, save_model, train
-from teeguard.words import Label, split_words
+from teeguard.words import Label, check_field_types, split_words
 
 KEYWORDS = GeneratorConfig().keywords
 
@@ -381,6 +382,57 @@ def test_config_refuses_wrong_types(name, value):
 def test_classifier_config_refuses_wrong_types(name, value):
     with pytest.raises(ValueError, match="must be of type"):
         ClassifierConfig(**{name: value})
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: FilterPolicy(action="drop"),  # used to construct, then mask instead of drop
+    lambda: PipelineConfig(policy="drop"),
+    lambda: PipelineConfig(classifier="cnn"),
+    lambda: PipelineConfig(generator=5),
+    lambda: PipelineConfig(endpoint="localhost"),
+    lambda: PipelineConfig(endpoint=("h", "80")),
+    lambda: ClassifierConfig(train=5),
+    lambda: ClassifierConfig(architecture="cnn", model_path=5, corpus_path=0),
+], ids=["action", "policy", "classifier", "generator", "endpoint", "port", "train", "paths"])
+def test_enums_nested_configs_endpoints_and_paths_are_type_checked(probe):
+    with pytest.raises(ValueError, match="must be of type"):
+        probe()
+
+
+def test_an_annotation_the_check_cannot_read_is_a_type_error():
+    @dataclass(frozen=True)
+    class Tagged:
+        tags: set[str] = frozenset()
+
+        def __post_init__(self) -> None:
+            check_field_types(self)
+
+    with pytest.raises(TypeError, match="no type check"):
+        Tagged()
+
+
+def test_a_model_file_is_refused_with_the_oracle():
+    # it used to construct, and the oracle ran without opening the file
+    with pytest.raises(ValueError, match="not oracle"):
+        ClassifierConfig(model_path="model.bin", corpus_path="corpus.tsv")
+
+
+def test_a_model_file_of_another_architecture_is_refused(tmp_path):
+    corpus = make_labeled_corpus(GeneratorConfig(), 0, 40)
+    model = train("cnn", corpus, TrainConfig(learning_rate=1.0, epochs=2, seed=0)).model
+    save_model(tmp_path / "cnn.bin", model)
+    save_corpus(tmp_path / "corpus.tsv", corpus)
+    classifier = ClassifierConfig(
+        architecture="attention",
+        model_path=str(tmp_path / "cnn.bin"),
+        corpus_path=str(tmp_path / "corpus.tsv"),
+    )
+    config = PipelineConfig(seed=4, utterances=5, classifier=classifier)
+    transport = RecordingTransport()
+    with pytest.raises(PipelineError, match="'attention' cannot run the CnnModel") as err:
+        run_pipeline(config, transport=transport)
+    assert err.value.stage == "setup"
+    assert transport.sent == []
 
 
 def test_metrics_dict_shape():
