@@ -109,22 +109,27 @@ def _options(rows, args: argparse.Namespace, cp) -> dict:
 
 
 def _read_config(path: str):
-    """The parsed INI file; a section or key that no row names is refused."""
+    """The parsed INI file.  A file configparser cannot read, a value it
+    cannot interpolate, and a section or key that no row names are refused."""
     import configparser
 
     # No section lends its keys to the others, so [DEFAULT] is one more
     # unknown section.
     cp = configparser.ConfigParser(default_section="")
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
     keys = {(section, key) for _, _, section, key, *_ in _CONFIG_OPTIONS}
     sections = {section for section, _ in keys}
-    for section in cp.sections():
-        if section not in sections:
-            raise ValueError(f"{path}: unknown section [{section}]")
-        for key in cp.options(section):
-            if (section, key) not in keys:
-                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+        for section in cp.sections():
+            if section not in sections:
+                raise ValueError(f"unknown section [{section}]")
+            for key in cp.options(section):
+                if (section, key) not in keys:
+                    raise ValueError(f"unknown key {key!r} in section [{section}]")
+                cp.get(section, key)  # interpolates now, so a lone % is refused here
+    except (configparser.Error, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return cp
 
 

@@ -344,6 +344,20 @@ def test_config_file_refuses_what_no_option_row_names(tmp_path, capsys, text, na
     assert capsys.readouterr().err == f"error: {config}: {named}\n"
 
 
+@pytest.mark.parametrize(("text", "named"), [
+    ("seed = 1\n", "File contains no section headers"),
+    ("[policy]\nmask_token = 100%\n", "'%' must be followed by '%' or '('"),
+    ("[pipeline]\nseed = 1\nseed = 2\n", "option 'seed' in section 'pipeline' already exists"),
+], ids=["no-header", "lone-percent", "duplicate-key"])
+def test_config_file_configparser_cannot_read_is_refused(tmp_path, capsys, text, named):
+    # configparser's own errors used to escape main as a traceback
+    config = tmp_path / "run.ini"
+    config.write_text(text, encoding="utf-8")
+    assert main(["pipeline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and named in err
+
+
 def test_pipeline_unreachable_endpoint_errors(capsys):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
